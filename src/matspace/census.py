@@ -10,6 +10,13 @@ merge is associative and order-fixed, so the report content is independent of
 the worker count.  For q = 2 and n <= 3 a bit-packed engine with lookup
 tables replaces the generic field path; both must agree and the tests compare
 them subspace for subspace.
+
+`census` is the only enumeration loop.  `max_diag_dim` and
+`verify_classification` take their subspaces from its witness lists, so they
+run on both engines and share its gates: one entry gate (n >= 1, q, d, cap,
+--heavy), which `subspace_stream` also uses, and the budget bounds on the q^d
+members of a subspace and, when irreducibility is tested, on the
+(q^n - 1)/(q - 1) spin starts.
 """
 
 from __future__ import annotations
@@ -22,10 +29,11 @@ from dataclasses import dataclass, field as dc_field
 
 from . import gf2
 from ._version import __version__
-from .errors import BudgetExceeded, CapExceeded, InvalidInput
+from .errors import BudgetExceeded, CapExceeded, InvalidInput, Singular
 from .fields import PrimeField
 from .matrices import Matrix, invert
-from .predicates import HOLDS, all_diagonalizable, irreducible, non_isotropic, trivial_spectrum
+# _holds looks all_diagonalizable, irreducible and trivial_spectrum up by name.
+from .predicates import HOLDS, all_diagonalizable, irreducible, non_isotropic, trivial_spectrum  # noqa: F401
 from .recovery import recover
 from .spaces import DEFAULT_BUDGET, MatSpace
 
@@ -92,11 +100,21 @@ class CensusReport:
     partition: list[int] = dc_field(default_factory=list)
 
 
-def _check_gates(total: int, cap: int, heavy: bool):
+def _gate(n: int, q: int, d: int, cap: int, heavy: bool) -> int:
+    """Reject malformed sizes and oversized runs; return the subspace count."""
+    if n < 1:
+        raise InvalidInput(f"matrix size {n} must be at least 1")
+    if q not in SUPPORTED_Q:
+        raise InvalidInput(f"census supports q in {SUPPORTED_Q}, got {q}")
+    m = n * n
+    if d > m or d < 0:
+        raise InvalidInput(f"dimension {d} outside 0..{m}")
+    total = gaussian_binomial(m, d, q)
     if total > cap:
         raise CapExceeded(total, cap)
     if not heavy and total > NON_HEAVY_LIMIT:
         raise CapExceeded(total, NON_HEAVY_LIMIT, hint="pass --heavy for large runs")
+    return total
 
 
 def _free_positions(pattern, m: int) -> list[tuple[int, int]]:
@@ -109,20 +127,18 @@ def _free_positions(pattern, m: int) -> list[tuple[int, int]]:
     ]
 
 
-def _generic_pattern_stream(pattern, m: int, q: int):
-    """All RREF bases with the given pivot pattern, as flat coefficient rows."""
-    d = len(pattern)
-    free = _free_positions(pattern, m)
-    base = []
-    for r in range(d):
-        row = [0] * m
-        row[pattern[r]] = 1
-        base.append(row)
-    for values in itertools.product(range(q), repeat=len(free)):
-        rows = [row.copy() for row in base]
-        for (r, c), v in zip(free, values):
-            rows[r][c] = v
-        yield rows
+def _spaces(n: int, q: int, patterns):
+    """Every subspace whose RREF basis has one of the given pivot patterns."""
+    field = PrimeField(q)
+    m = n * n
+    for pattern in patterns:
+        free = _free_positions(pattern, m)
+        base = [[int(c == p) for c in range(m)] for p in pattern]
+        for values in itertools.product(range(q), repeat=len(free)):
+            rows = [row.copy() for row in base]
+            for (r, c), v in zip(free, values):
+                rows[r][c] = v
+            yield MatSpace.from_canonical_rows(field, n, rows)
 
 
 def _bit_pattern_stream(pattern, m: int):
@@ -131,7 +147,6 @@ def _bit_pattern_stream(pattern, m: int):
     The yielded list is mutated in place between yields; consumers must copy
     what they keep.
     """
-    d = len(pattern)
     free = _free_positions(pattern, m)
     rows = [1 << p for p in pattern]
     yield rows
@@ -153,46 +168,21 @@ def _bit_pattern_stream(pattern, m: int):
 
 def subspace_stream(n: int, q: int, d: int, cap: int = DEFAULT_CAP, heavy: bool = False):
     """Every d-dimensional subspace of Mat_n(F_q) exactly once, canonically."""
-    if q not in SUPPORTED_Q:
-        raise InvalidInput(f"census supports q in {SUPPORTED_Q}, got {q}")
-    m = n * n
-    if d > m or d < 0:
-        raise InvalidInput(f"dimension {d} outside 0..{m}")
-    total = gaussian_binomial(m, d, q)
-    _check_gates(total, cap, heavy)
-    field = PrimeField(q)
-
-    def gen():
-        for pattern in itertools.combinations(range(m), d):
-            for rows in _generic_pattern_stream(pattern, m, q):
-                yield MatSpace.from_canonical_rows(field, n, rows)
-
-    return gen()
+    _gate(n, q, d, cap, heavy)
+    return _spaces(n, q, itertools.combinations(range(n * n), d))
 
 
 # -- per-subspace predicate evaluation ---------------------------------------
 
 
-def _eval_generic(space: MatSpace, name: str, budget: int) -> bool:
-    if name == "trivial_spectrum":
-        return trivial_spectrum(space, budget).status == HOLDS
-    if name == "all_diagonalizable":
-        return all_diagonalizable(space, budget).status == HOLDS
-    if name == "irreducible":
-        return irreducible(space, budget).status == HOLDS
-    raise InvalidInput(f"unknown predicate {name!r}")
+def _holds(name: str, space: MatSpace, budget: int) -> bool:
+    # A canonical predicate name is the name of its function in this module.
+    # Looking it up at call time lets a tracer that rebinds the name see each call.
+    return globals()[name](space, budget).status == HOLDS
 
 
-def _ts_bits(rows, d: int, table) -> bool:
-    m = 0
-    for k in range(1, 1 << d):
-        m ^= rows[(k & -k).bit_length() - 1]
-        if not table[m]:
-            return False
-    return True
-
-
-def _diag_bits(rows, d: int, table) -> bool:
+def _members_in(rows, d: int, table) -> bool:
+    """Every nonzero member of the span of the bitset rows is marked in table."""
     m = 0
     for k in range(1, 1 << d):
         m ^= rows[(k & -k).bit_length() - 1]
@@ -204,41 +194,39 @@ def _diag_bits(rows, d: int, table) -> bool:
 def _census_chunk(args) -> tuple[dict, dict, int]:
     (n, q, d, start, stop, predicates, budget, witness_limit, engine) = args
     m = n * n
-    patterns = list(itertools.combinations(range(m), d))[start:stop]
+    patterns = itertools.islice(itertools.combinations(range(m), d), start, stop)
     counts = {p: 0 for p in predicates}
     witnesses = {p: [] for p in predicates}
     processed = 0
     if engine == "bits":
-        diag_table = gf2.diagonalizable_table(n)
-        ts_table = gf2.eigenvalue_one_free_table(n)
+        tables = {
+            "all_diagonalizable": gf2.diagonalizable_table(n),
+            "trivial_spectrum": gf2.eigenvalue_one_free_table(n),
+        }
+        chain = [(p, tables.get(p)) for p in predicates]  # no table: irreducible
         action = gf2.action_table(n)
         for pattern in patterns:
             for rows in _bit_pattern_stream(pattern, m):
                 processed += 1
-                for p in predicates:
-                    if p == "trivial_spectrum":
-                        ok = _ts_bits(rows, d, ts_table)
-                    elif p == "all_diagonalizable":
-                        ok = _diag_bits(rows, d, diag_table)
-                    else:
+                for p, table in chain:
+                    if table is None:
                         ok = gf2.irreducible_bits(rows, n, action)
+                    else:
+                        ok = _members_in(rows, d, table)
                     if not ok:
                         break
                     counts[p] += 1
                     if len(witnesses[p]) < witness_limit:
                         witnesses[p].append([gf2.unpack_row(r, m) for r in rows])
     else:
-        field = PrimeField(q)
-        for pattern in patterns:
-            for rows in _generic_pattern_stream(pattern, m, q):
-                processed += 1
-                space = MatSpace.from_canonical_rows(field, n, rows)
-                for p in predicates:
-                    if not _eval_generic(space, p, budget):
-                        break
-                    counts[p] += 1
-                    if len(witnesses[p]) < witness_limit:
-                        witnesses[p].append([list(r) for r in rows])
+        for space in _spaces(n, q, patterns):
+            processed += 1
+            for p in predicates:
+                if not _holds(p, space, budget):
+                    break
+                counts[p] += 1
+                if len(witnesses[p]) < witness_limit:
+                    witnesses[p].append([list(r) for r in space.rows])
     return counts, witnesses, processed
 
 
@@ -263,25 +251,24 @@ def census(
     before it, so the last entry is the conjunction count.  Fully
     independent tallies come from one census per predicate.
     """
-    if q not in SUPPORTED_Q:
-        raise InvalidInput(f"census supports q in {SUPPORTED_Q}, got {q}")
-    m = n * n
-    if d > m or d < 0:
-        raise InvalidInput(f"dimension {d} outside 0..{m}")
     predicates = normalize_predicates(predicates, keep_order)
     if not predicates:
         raise InvalidInput("census needs at least one predicate")
-    total = gaussian_binomial(m, d, q)
-    _check_gates(total, cap, heavy)
+    total = _gate(n, q, d, cap, heavy)
     if q**d > budget:
         raise BudgetExceeded(q**d, budget)
+    # Irreducibility spins from every projective point of F_q^n; the bound
+    # holds on both engines, although only the generic one counts the spins.
+    starts = (q**n - 1) // (q - 1)
+    if "irreducible" in predicates and starts > budget:
+        raise BudgetExceeded(starts, budget)
     if engine is None:
         engine = "bits" if q == 2 and n <= 3 else "generic"
     if engine == "bits" and (q != 2 or n > 3):
         raise InvalidInput("bit engine requires q = 2 and n <= 3")
 
     started = time.perf_counter()
-    pattern_count = math.comb(m, d)
+    pattern_count = math.comb(n * n, d)
     workers = max(1, min(workers, pattern_count or 1))
     bounds = [
         (i * pattern_count // workers, (i + 1) * pattern_count // workers)
@@ -338,18 +325,30 @@ def max_diag_dim(
 ) -> tuple[int, MatSpace]:
     """Largest d with an all-diagonalizable d-dimensional subspace, plus a witness.
 
-    Scans downward from n(n+1)/2; within each dimension the canonical
-    enumeration order makes the witness deterministic.
+    Runs one census per dimension, downward from n(n+1)/2; the witness is the
+    census's first, so the canonical enumeration order makes it deterministic.
+    The zero space (d = 0) always qualifies, so the scan ends in a return.
     """
-    for d in range(n * (n + 1) // 2, 0, -1):
-        total = gaussian_binomial(n * n, d, q)
-        _check_gates(total, cap, heavy)
-        if q**d > budget:
-            raise BudgetExceeded(q**d, budget)
-        for space in subspace_stream(n, q, d, cap=cap, heavy=heavy):
-            if all_diagonalizable(space, budget).status == HOLDS:
-                return d, space
-    return 0, MatSpace.zero(PrimeField(q), n)
+    for d in range(n * (n + 1) // 2, -1, -1):
+        rep = census(n, q, d, ["diag"], budget, cap, witness_limit=1, heavy=heavy)
+        found = rep.witnesses["all_diagonalizable"]
+        if found:
+            return d, MatSpace.from_canonical_rows(PrimeField(q), n, found[0])
+    raise AssertionError("the zero space is all-diagonalizable")
+
+
+def _alt_multiplier(space: MatSpace, alt: MatSpace) -> Matrix | None:
+    """A non-isotropic P in GL_n(F_q) with space = P * Alt_n, by exhaustive search."""
+    field, n, q = space.field, space.n, space.field.cardinality
+    for values in itertools.product(range(q), repeat=n * n):
+        P = Matrix(field, [values[i * n : (i + 1) * n] for i in range(n)])
+        try:
+            invert(P)
+        except Singular:
+            continue
+        if non_isotropic(P).status == HOLDS and alt.transform(P, "left") == space:
+            return P
+    return None
 
 
 def verify_classification(
@@ -365,53 +364,31 @@ def verify_classification(
     exhaustive GL_n(F_q) search looks for a non-isotropic P with
     V = P * Alt_n.  For every all-diagonalizable subspace of dimension
     n(n+1)/2 (none are expected at the supported sizes), the recovery
-    pipeline confirms similarity to Sym_n.
+    pipeline confirms similarity to Sym_n.  Both subspace lists are census
+    witness lists.
     """
     if q not in (2, 3):
         raise InvalidInput("classification check supports q in (2, 3)")
-    if n != 2 and not heavy:
-        raise CapExceeded(gaussian_binomial(n * n, n * (n - 1) // 2, q), NON_HEAVY_LIMIT,
-                          hint="classification beyond n = 2 needs --heavy")
     field = PrimeField(q)
-    alt = MatSpace.standard("alt", n, field)
+
+    def survivors(d: int, predicates) -> list[MatSpace]:
+        rep = census(n, q, d, predicates, budget, cap, witness_limit=cap, heavy=heavy)
+        rows = rep.witnesses[rep.predicates[-1]]
+        return [MatSpace.from_canonical_rows(field, n, r) for r in rows]
 
     d1 = n * (n - 1) // 2
-    candidates = []
-    for space in subspace_stream(n, q, d1, cap=cap, heavy=heavy):
-        if (
-            trivial_spectrum(space, budget).status == HOLDS
-            and irreducible(space, budget).status == HOLDS
-        ):
-            candidates.append(space)
+    candidates = survivors(d1, ["trivspec", "irred"])
+    alt = MatSpace.standard("alt", n, field)
     cases = []
     for space in candidates:
-        found = None
-        for values in itertools.product(range(q), repeat=n * n):
-            rows = [values[i * n : (i + 1) * n] for i in range(n)]
-            P = Matrix(field, rows)
-            try:
-                invert(P)
-            except Exception:
-                continue
-            if non_isotropic(P).status != HOLDS:
-                continue
-            if alt.transform(P, "left") == space:
-                found = P
-                break
-        cases.append(
-            {
-                "space": space,
-                "P": found,
-                "expressible": found is not None,
-            }
-        )
+        P = _alt_multiplier(space, alt)
+        cases.append({"space": space, "P": P, "expressible": P is not None})
 
     d2 = n * (n + 1) // 2
-    diag_instances = []
-    for space in subspace_stream(n, q, d2, cap=cap, heavy=heavy):
-        if all_diagonalizable(space, budget).status == HOLDS:
-            rep = recover(space, budget)
-            diag_instances.append({"space": space, "status": rep.status})
+    diag_instances = [
+        {"space": space, "status": recover(space, budget).status}
+        for space in survivors(d2, ["diag"])
+    ]
 
     return {
         "n": n,

@@ -46,8 +46,10 @@ def matrix_from_json(field: Field, obj) -> Matrix:
     if not isinstance(obj, dict) or "rows" not in obj:
         raise InvalidInput(f"matrix JSON needs 'rows', got {obj!r}")
     rows = obj["rows"]
+    if not isinstance(rows, list):
+        raise InvalidInput(f"matrix JSON 'rows' must be a list, got {rows!r}")
     n = obj.get("n", len(rows))
-    if not isinstance(rows, list) or len(rows) != n or any(
+    if isinstance(n, bool) or not isinstance(n, int) or len(rows) != n or any(
         not isinstance(r, list) or len(r) != n for r in rows
     ):
         raise InvalidInput("matrix JSON rows must form an n x n grid")
@@ -85,8 +87,12 @@ def space_from_json(obj, field: Field | None = None) -> MatSpace:
         raise InvalidInput("subspace JSON has no field and no --field flag was given")
     if "n" not in obj or "basis" not in obj:
         raise InvalidInput("subspace JSON needs 'n' and 'basis'")
-    n = obj["n"]
-    mats = [matrix_from_json(field, m) for m in obj["basis"]]
+    n, basis = obj["n"], obj["basis"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise InvalidInput(f"subspace JSON 'n' must be an integer >= 1, got {n!r}")
+    if not isinstance(basis, list):
+        raise InvalidInput(f"subspace JSON 'basis' must be a list, got {basis!r}")
+    mats = [matrix_from_json(field, m) for m in basis]
     for M in mats:
         if M.nrows != n:
             raise InvalidInput(f"basis matrix of size {M.nrows} in Mat_{n}")

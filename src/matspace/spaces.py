@@ -269,10 +269,6 @@ class MatSpace:
         ker = kernel_rows(F, rows, n * n)
         return MatSpace(F, n, _canonical(F, ker))
 
-    def trace_pair(self, A: Matrix, B: Matrix):
-        """tr(AB), evaluated directly (used to cross-check the kernel route)."""
-        return (A * B).trace()
-
     # -- transformations -------------------------------------------------------
 
     def transform(self, P: Matrix, mode: str = "conjugate") -> "MatSpace":
@@ -329,9 +325,6 @@ class MatSpace:
                     row = basis[i]
                     flat = [F.add(x, F.mul(c, y)) for x, y in zip(flat, row)]
             yield flat
-
-    def to_basis_rows(self) -> list[list]:
-        return [list(r) for r in self.rows]
 
     def __repr__(self):
         return f"MatSpace(dim {self.dim} of Mat_{self.n}({self.field}))"

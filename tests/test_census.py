@@ -2,6 +2,7 @@ import pytest
 
 from matspace import (
     MatSpace,
+    Matrix,
     PrimeField,
     all_diagonalizable,
     census,
@@ -12,7 +13,12 @@ from matspace import (
 )
 from matspace.errors import BudgetExceeded, CapExceeded, InvalidInput
 from matspace.predicates import HOLDS
-from matspace.serialize import canonical_json, census_result
+from matspace.serialize import (
+    canonical_json,
+    census_result,
+    classification_result,
+    max_diag_dim_result,
+)
 
 from oracles import gaussian_binomial_oracle
 
@@ -56,6 +62,8 @@ def test_stream_validation():
         list(subspace_stream(2, 7, 1))
     with pytest.raises(InvalidInput):
         list(subspace_stream(2, 2, 5))
+    with pytest.raises(InvalidInput):
+        subspace_stream(0, 2, 0)
 
 
 def test_census_counts():
@@ -164,10 +172,24 @@ def test_census_gates():
     assert "--heavy" in str(info.value)
     with pytest.raises(BudgetExceeded):
         census(2, 2, 3, ["diag"], budget=4)
+    for n in (0, -1):
+        with pytest.raises(InvalidInput):
+            census(n, 2, 0, ["diag"])
     with pytest.raises(InvalidInput):
         census(2, 2, 3, ["nope"])
     with pytest.raises(InvalidInput):
         census(2, 3, 2, ["diag"], engine="bits")
+
+
+def test_census_budget_bounds_irreducible_starts_on_both_engines():
+    # 7 projective points of F_2^3 to spin from: a budget of 4 is too small,
+    # 7 is enough, whichever engine runs
+    counts = []
+    for engine in ("bits", "generic"):
+        with pytest.raises(BudgetExceeded):
+            census(3, 2, 1, ["irred"], budget=4, engine=engine)
+        counts.append(census(3, 2, 1, ["irred"], budget=7, engine=engine).counts)
+    assert counts[0] == counts[1] == {"irreducible": 48}
 
 
 def test_census_predicate_order_normalization():
@@ -197,6 +219,75 @@ def test_max_diag_dim():
     assert d_max3 == 2
     d1, w1 = max_diag_dim(1, 2)
     assert d1 == 1 and w1.dim == 1
+    for n in (0, -1, -2):
+        with pytest.raises(InvalidInput):
+            max_diag_dim(n, 2)
+
+
+# Result sections as emitted while max_diag_dim and verify_classification had
+# enumeration loops of their own; taking the subspaces from census() must not
+# move a byte.
+FROZEN_MAX_DIAG_DIM = {
+    (1, 2): (
+        '{"d_max":1,"n":1,"q":2,"witness":{"basis":[{"n":1,"rows":[[1]]}],'
+        '"field":{"kind":"prime","p":2},"n":1}}'
+    ),
+    (2, 2): (
+        '{"d_max":2,"n":2,"q":2,"witness":{"basis":[{"n":2,"rows":[[1,0],[0,1]]},'
+        '{"n":2,"rows":[[0,1],[0,1]]}],"field":{"kind":"prime","p":2},"n":2}}'
+    ),
+    (2, 3): (
+        '{"d_max":2,"n":2,"q":3,"witness":{"basis":[{"n":2,"rows":[[1,0],[0,1]]},'
+        '{"n":2,"rows":[[0,1],[0,1]]}],"field":{"kind":"prime","p":3},"n":2}}'
+    ),
+    (2, 5): (
+        '{"d_max":2,"n":2,"q":5,"witness":{"basis":[{"n":2,"rows":[[1,0],[0,1]]},'
+        '{"n":2,"rows":[[0,1],[0,1]]}],"field":{"kind":"prime","p":5},"n":2}}'
+    ),
+}
+
+FROZEN_CLASSIFICATION = {
+    (2, 2): (
+        '{"diagonalizable_form":{"all_similar":true,"dim":3,"instances":0,'
+        '"vacuous":true},"n":2,"q":2,"trivial_spectrum_form":{"all_expressible":true,'
+        '"candidates":2,"dim":1,"expressible":2}}'
+    ),
+    (2, 3): (
+        '{"diagonalizable_form":{"all_similar":true,"dim":3,"instances":0,'
+        '"vacuous":true},"n":2,"q":3,"trivial_spectrum_form":{"all_expressible":true,'
+        '"candidates":9,"dim":1,"expressible":9}}'
+    ),
+}
+
+
+@pytest.mark.parametrize("n,q", sorted(FROZEN_MAX_DIAG_DIM))
+def test_max_diag_dim_result_bytes(n, q):
+    d_max, witness = max_diag_dim(n, q)
+    assert canonical_json(max_diag_dim_result(n, q, d_max, witness)) == FROZEN_MAX_DIAG_DIM[n, q]
+
+
+@pytest.mark.parametrize("n,q", sorted(FROZEN_CLASSIFICATION))
+def test_classification_result_bytes(n, q):
+    res = verify_classification(n, q)
+    assert canonical_json(classification_result(res)) == FROZEN_CLASSIFICATION[n, q]
+
+
+@pytest.mark.heavy
+def test_maxdim_and_classification_3_2():
+    d_max, witness = max_diag_dim(3, 2, heavy=True)
+    assert d_max == 3
+    def E(i, j):
+        return Matrix.unit(F2, 3, i, j)
+
+    # <I, E12 + E22, E13 + E33> in 0-based indices, as its canonical basis
+    assert witness.basis() == [Matrix.identity(F2, 3), E(0, 1) + E(1, 1), E(0, 2) + E(2, 2)]
+
+    res = verify_classification(3, 2, heavy=True)
+    t1 = res["trivial_spectrum_form"]
+    assert (t1["dim"], t1["candidates"], t1["expressible"]) == (3, 224, 0)
+    assert not t1["all_expressible"]
+    t2 = res["diagonalizable_form"]
+    assert t2["dim"] == 6 and t2["instances"] == 0 and t2["vacuous"]
 
 
 def test_verify_classification_2_3():
@@ -222,3 +313,5 @@ def test_verify_classification_gate():
         verify_classification(2, 5)
     with pytest.raises(CapExceeded):
         verify_classification(3, 2)  # needs --heavy
+    with pytest.raises(BudgetExceeded):
+        verify_classification(2, 2, budget=2)  # 3 spin starts in F_2^2

@@ -150,6 +150,41 @@ def test_bad_input_exit2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"field": {"kind": "prime", "p": 3}, "n": -1, "basis": []},
+        {"field": {"kind": "prime", "p": 3}, "n": "2", "basis": []},
+        {"field": {"kind": "prime", "p": 3}, "n": 2.0, "basis": []},
+        {"field": {"kind": "prime", "p": 3}, "n": True, "basis": []},
+        {"field": {"kind": "prime", "p": 3}, "n": 2, "basis": 5},
+        {"field": {"kind": "prime", "p": 3}, "n": 2, "basis": [{"n": 2, "rows": 5}]},
+        {"field": {"kind": "prime", "p": 3}, "n": 1, "basis": [{"n": True, "rows": [[1]]}]},
+        {"field": {"kind": "prime", "p": 3}, "n": 2, "basis": [{"n": 2.0, "rows": [[1, 0], [0, 1]]}]},
+    ],
+)
+def test_malformed_space_exit2(capsys, tmp_path, doc):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(doc))
+    code, _ = run(capsys, "analyze", "--input", str(path))
+    assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "-1", "--q", "2", "--d", "1", "--pred", "diag"],
+        ["--n", "0", "--q", "2", "--d", "0", "--pred", "diag"],
+        ["--task", "maxdim", "--n", "-2", "--q", "2"],
+        ["--task", "maxdim", "--n", "0", "--q", "2"],
+        ["--task", "classify", "--n", "-1", "--q", "2"],
+    ],
+)
+def test_census_bad_size_exit2(capsys, argv):
+    code, _ = run(capsys, "census", *argv)
+    assert code == 2
+
+
 def test_unknown_flag_exit2(capsys, sym3_path):
     code, _ = run(capsys, "recover", "--input", sym3_path, "--frobnicate")
     assert code == 2
