@@ -16,7 +16,9 @@ them subspace for subspace.
 run on both engines and share its gates: one entry gate (n >= 1, q, d, cap,
 --heavy), which `subspace_stream` also uses, and the budget bounds on the q^d
 members of a subspace and, when irreducibility is tested, on the
-(q^n - 1)/(q - 1) spin starts.
+(q^n - 1)/(q - 1) spin starts.  The classification check itself is linear
+algebra: the P with V = P * Alt_n are the invertible members of
+Alt_n.multipliers(V, "left"), so it covers every census q.
 """
 
 from __future__ import annotations
@@ -29,9 +31,8 @@ from dataclasses import dataclass, field as dc_field
 
 from . import gf2
 from ._version import __version__
-from .errors import BudgetExceeded, CapExceeded, InvalidInput, Singular
+from .errors import BudgetExceeded, CapExceeded, InvalidInput
 from .fields import PrimeField
-from .matrices import Matrix, invert
 # _holds looks all_diagonalizable, irreducible and trivial_spectrum up by name.
 from .predicates import HOLDS, all_diagonalizable, irreducible, non_isotropic, trivial_spectrum  # noqa: F401
 from .recovery import recover
@@ -254,6 +255,12 @@ def census(
     predicates = normalize_predicates(predicates, keep_order)
     if not predicates:
         raise InvalidInput("census needs at least one predicate")
+    if workers < 1:
+        raise InvalidInput(f"worker count {workers} must be at least 1")
+    if witness_limit < 0:
+        raise InvalidInput(f"witness limit {witness_limit} must not be negative")
+    if engine not in (None, "bits", "generic"):
+        raise InvalidInput(f"unknown census engine {engine!r}")
     total = _gate(n, q, d, cap, heavy)
     if q**d > budget:
         raise BudgetExceeded(q**d, budget)
@@ -269,7 +276,7 @@ def census(
 
     started = time.perf_counter()
     pattern_count = math.comb(n * n, d)
-    workers = max(1, min(workers, pattern_count or 1))
+    workers = min(workers, pattern_count)
     bounds = [
         (i * pattern_count // workers, (i + 1) * pattern_count // workers)
         for i in range(workers)
@@ -337,20 +344,6 @@ def max_diag_dim(
     raise AssertionError("the zero space is all-diagonalizable")
 
 
-def _alt_multiplier(space: MatSpace, alt: MatSpace) -> Matrix | None:
-    """A non-isotropic P in GL_n(F_q) with space = P * Alt_n, by exhaustive search."""
-    field, n, q = space.field, space.n, space.field.cardinality
-    for values in itertools.product(range(q), repeat=n * n):
-        P = Matrix(field, [values[i * n : (i + 1) * n] for i in range(n)])
-        try:
-            invert(P)
-        except Singular:
-            continue
-        if non_isotropic(P).status == HOLDS and alt.transform(P, "left") == space:
-            return P
-    return None
-
-
 def verify_classification(
     n: int,
     q: int,
@@ -360,28 +353,28 @@ def verify_classification(
 ) -> dict:
     """Cross-check both maximal-dimension classifications at desk scale.
 
-    For every irreducible trivial-spectrum subspace of dimension n(n-1)/2, an
-    exhaustive GL_n(F_q) search looks for a non-isotropic P with
-    V = P * Alt_n.  For every all-diagonalizable subspace of dimension
-    n(n+1)/2 (none are expected at the supported sizes), the recovery
-    pipeline confirms similarity to Sym_n.  Both subspace lists are census
-    witness lists.
+    For every irreducible trivial-spectrum subspace V of dimension n(n-1)/2,
+    the linear space of all X with X * Alt_n inside V is searched for a
+    non-isotropic P, so that V = P * Alt_n.  For every all-diagonalizable
+    subspace of dimension n(n+1)/2 (none are expected at the supported
+    sizes), the recovery pipeline confirms similarity to Sym_n.  Both
+    subspace lists are census witness lists.
     """
-    if q not in (2, 3):
-        raise InvalidInput("classification check supports q in (2, 3)")
-    field = PrimeField(q)
 
     def survivors(d: int, predicates) -> list[MatSpace]:
         rep = census(n, q, d, predicates, budget, cap, witness_limit=cap, heavy=heavy)
-        rows = rep.witnesses[rep.predicates[-1]]
+        rows, field = rep.witnesses[rep.predicates[-1]], PrimeField(q)
         return [MatSpace.from_canonical_rows(field, n, r) for r in rows]
 
     d1 = n * (n - 1) // 2
     candidates = survivors(d1, ["trivspec", "irred"])
-    alt = MatSpace.standard("alt", n, field)
+    alt = MatSpace.standard("alt", n, PrimeField(q))
     cases = []
     for space in candidates:
-        P = _alt_multiplier(space, alt)
+        # A non-isotropic X is invertible (a kernel vector is isotropic), so
+        # X * Alt_n inside V has dimension n(n-1)/2 and is all of V.
+        members = alt.multipliers(space, "left").elements(budget)
+        P = next((X for X in members if non_isotropic(X).status == HOLDS), None)
         cases.append({"space": space, "P": P, "expressible": P is not None})
 
     d2 = n * (n + 1) // 2

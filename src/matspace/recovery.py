@@ -132,28 +132,13 @@ class BlockMaps:
 def solve_symmetrizer(V: MatSpace, budget: int = DEFAULT_BUDGET) -> tuple[MatSpace, Matrix]:
     """Solution space of "M*P symmetric for every M in V", plus an invertible pick.
 
-    The conditions stack into a homogeneous system over the n^2 entries of P.
-    The choice scans the canonical basis of the solution space first, then all
-    of its elements (finite fields, within budget) or integer combinations
-    with coefficients in [-3, 3] (rationals).
+    The solution space is V.multipliers(Sym_n, "right").  The choice scans its
+    canonical basis first, then all of its elements (finite fields, within
+    budget) or integer combinations with coefficients in [-3, 3] (rationals).
     """
     F = V.field
     n = V.n
-    rows = []
-    for B in V.basis():
-        for i in range(n):
-            for j in range(i + 1, n):
-                # (B P)[i][j] - (B P)[j][i] = 0
-                row = [F.zero()] * (n * n)
-                for k in range(n):
-                    row[k * n + j] = F.add(row[k * n + j], B.rows[i][k])
-                    row[k * n + i] = F.sub(row[k * n + i], B.rows[j][k])
-                rows.append(row)
-    ker = kernel_rows(F, rows, n * n) if rows else [
-        list(r) for r in Matrix.identity(F, n * n).rows
-    ]
-    sol_mats = [Matrix(F, [k[i * n : (i + 1) * n] for i in range(n)]) for k in ker]
-    space = MatSpace.span(sol_mats, field=F, n=n)
+    space = V.multipliers(MatSpace.standard("sym", n, F), "right")
 
     def _invertible(M: Matrix) -> bool:
         _, pivots = rref_rows(F, [list(r) for r in M.rows])

@@ -2,9 +2,10 @@
 
 A MatSpace stores the reduced row-echelon basis of the row-major vectorized
 subspace, so equality of subspaces is structural equality of bases.  The
-trace bilinear form tr(AB) drives the orthogonal complement: with row-major
-vectorization, tr(AB) = vec(A^T) . vec(B), so the orthogonality kernel uses
-the transposed-index rearrangement and plain dot products realize the form.
+trace bilinear form tr(AB) drives the orthogonal complement and the
+multiplier spaces: with row-major vectorization, tr(AB) = vec(A^T) . vec(B),
+so their kernels use the transposed-index rearrangement and plain dot
+products realize the form.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .errors import (
     Singular,
 )
 from .fields import Field
-from .matrices import Matrix, Vector, invert, kernel_rows, rref_rows
+from .matrices import Matrix, Vector, _dot, invert, kernel_rows, rref_rows
 
 DEFAULT_BUDGET = 10**7
 
@@ -29,6 +30,22 @@ STANDARD_KINDS = ("sym", "alt", "strict_upper", "diagonal", "scalar", "full")
 def _canonical(field: Field, rows: Iterable) -> tuple:
     red, pivots = rref_rows(field, [list(r) for r in rows])
     return tuple(tuple(r) for r in red[: len(pivots)])
+
+
+def _annihilator(field: Field, n: int, flats: Sequence[Sequence]) -> "MatSpace":
+    """Canonical space of all X with tr(C*X) = 0 for every row-major C in flats.
+
+    With row-major vectorization tr(C*X) = vec(C^T) . vec(X), so each C
+    contributes its transposed-index rearrangement as one kernel row.
+    """
+    rows = [[C[j * n + i] for i in range(n) for j in range(n)] for C in flats]
+    return MatSpace(field, n, _canonical(field, kernel_rows(field, rows, n * n)))
+
+
+def _flat_product(field: Field, n: int, X: Sequence, Y: Sequence) -> list:
+    """Row-major product of two row-major n x n matrices."""
+    cols = [Y[k::n] for k in range(n)]
+    return [_dot(field, X[i * n : (i + 1) * n], c) for i in range(n) for c in cols]
 
 
 class VecSpace:
@@ -213,29 +230,9 @@ class MatSpace:
     __add__ = sum
 
     def intersect(self, other: "MatSpace") -> "MatSpace":
-        """Intersection via the kernel of the stacked coordinate systems."""
+        """Intersection as the complement of the sum of the complements."""
         self._check_ambient(other)
-        F = self.field
-        k, l = self.dim, other.dim
-        if k == 0 or l == 0:
-            return MatSpace.zero(F, self.n)
-        m = self.n * self.n
-        # unknowns (a_1..a_k, b_1..b_l); rows: per ambient coordinate.
-        eq_rows = []
-        for j in range(m):
-            row = [self.rows[i][j] for i in range(k)]
-            row += [F.neg(other.rows[i][j]) for i in range(l)]
-            eq_rows.append(row)
-        members = []
-        for ker in kernel_rows(F, eq_rows, k + l):
-            flat = [F.zero()] * m
-            for i in range(k):
-                c = ker[i]
-                if c != 0:
-                    row = self.rows[i]
-                    flat = [F.add(x, F.mul(c, y)) for x, y in zip(flat, row)]
-            members.append(flat)
-        return MatSpace(F, self.n, _canonical(F, members))
+        return (self.orth() + other.orth()).orth()
 
     __and__ = intersect
 
@@ -258,16 +255,26 @@ class MatSpace:
         Kernel of the dim x n^2 matrix whose rows are the transposed-index
         rearrangements of the basis, so dim V + dim V-perp = n^2 always.
         """
-        F = self.field
-        n = self.n
-        if self.dim == 0:
-            return MatSpace.standard("full", n, F)
-        rows = []
-        for flat in self.rows:
-            # vec(A^T): entry (i, j) of A^T is A[j][i]
-            rows.append([flat[j * n + i] for i in range(n) for j in range(n)])
-        ker = kernel_rows(F, rows, n * n)
-        return MatSpace(F, n, _canonical(F, ker))
+        return _annihilator(self.field, self.n, self.rows)
+
+    def multipliers(self, target: "MatSpace", side: str) -> "MatSpace":
+        """All X with X*V inside target (side "left") or V*X inside target ("right").
+
+        M lies in target exactly when tr(A*M) = 0 for every A in target.orth().
+        As tr(A*X*B) = tr(B*A*X), each pair of a complement basis matrix A and
+        a basis matrix B of V is one linear condition on X: its coefficient
+        matrix is B*A for side "left" and A*B for side "right".
+        """
+        self._check_ambient(target)
+        if side not in ("left", "right"):
+            raise ShapeMismatch(f"unknown multiplier side {side!r}")
+        F, n = self.field, self.n
+        products = [
+            _flat_product(F, n, B, A) if side == "left" else _flat_product(F, n, A, B)
+            for A in target.orth().rows
+            for B in self.rows
+        ]
+        return _annihilator(F, n, products)
 
     # -- transformations -------------------------------------------------------
 

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 Everything here stays deliberately naive: permutation-expansion determinants,
-exhaustive eigenvalue scans, eigenbasis searches by dimension counting, and
-all-lines stability checks.  None of it shares code with the library paths it
+exhaustive eigenvalue scans, eigenbasis searches by dimension counting,
+all-lines stability checks, and membership tests against the full element
+list of a space, over every matrix of Mat_n(F_q).  None of it shares code with the library paths it
 cross-checks (field arithmetic is the common, separately-tested base layer).
 """
 
@@ -12,6 +13,7 @@ import itertools
 import random
 
 from matspace import Matrix, MatSpace, Vector
+from matspace.predicates import HOLDS, non_isotropic
 
 
 def det_oracle(M):
@@ -135,3 +137,38 @@ def random_space(field, n, rng: random.Random, k=None) -> MatSpace:
     return MatSpace.span(
         [random_matrix(field, n, rng) for _ in range(k)], field=field, n=n
     )
+
+
+def all_matrices(field, n):
+    """Every matrix of Mat_n(F_q), q^(n^2) of them."""
+    q = field.cardinality
+    for values in itertools.product(range(q), repeat=n * n):
+        yield Matrix(field, [values[i * n : (i + 1) * n] for i in range(n)])
+
+
+def members_oracle(V: MatSpace) -> set:
+    """Row-major vectorizations of all q^dim elements of V."""
+    return {M.vec() for M in V.elements()}
+
+
+def multipliers_oracle(V: MatSpace, T: MatSpace, side: str) -> set:
+    """Every X with X*B (side "left") or B*X (side "right") in T for each basis B of V."""
+    target = members_oracle(T)
+    basis = V.basis()
+    out = set()
+    for X in all_matrices(V.field, V.n):
+        products = [X * B if side == "left" else B * X for B in basis]
+        if all(P.vec() in target for P in products):
+            out.add(X.vec())
+    return out
+
+
+def alt_multiplier_oracle(space: MatSpace):
+    """A non-isotropic P in GL_n(F_q) with space = P * Alt_n, by trying every matrix."""
+    alt = MatSpace.standard("alt", space.n, space.field)
+    for P in all_matrices(space.field, space.n):
+        if det_oracle(P) == 0:
+            continue
+        if non_isotropic(P).status == HOLDS and alt.transform(P, "left") == space:
+            return P
+    return None

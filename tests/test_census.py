@@ -12,7 +12,7 @@ from matspace import (
     verify_classification,
 )
 from matspace.errors import BudgetExceeded, CapExceeded, InvalidInput
-from matspace.predicates import HOLDS
+from matspace.predicates import HOLDS, non_isotropic
 from matspace.serialize import (
     canonical_json,
     census_result,
@@ -20,7 +20,7 @@ from matspace.serialize import (
     max_diag_dim_result,
 )
 
-from oracles import gaussian_binomial_oracle
+from oracles import alt_multiplier_oracle, gaussian_binomial_oracle
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -181,6 +181,13 @@ def test_census_gates():
         census(2, 3, 2, ["diag"], engine="bits")
 
 
+def test_census_rejects_unknown_engine_and_bad_counts():
+    for kwargs in ({"engine": "turbo"}, {"workers": 0}, {"workers": -4}, {"witness_limit": -1}):
+        with pytest.raises(InvalidInput):
+            census(2, 2, 1, ["diag"], **kwargs)
+    assert census(2, 2, 1, ["diag"], witness_limit=0).witnesses == {"all_diagonalizable": []}
+
+
 def test_census_budget_bounds_irreducible_starts_on_both_engines():
     # 7 projective points of F_2^3 to spin from: a budget of 4 is too small,
     # 7 is enough, whichever engine runs
@@ -257,6 +264,11 @@ FROZEN_CLASSIFICATION = {
         '"vacuous":true},"n":2,"q":3,"trivial_spectrum_form":{"all_expressible":true,'
         '"candidates":9,"dim":1,"expressible":9}}'
     ),
+    (2, 5): (
+        '{"diagonalizable_form":{"all_similar":true,"dim":3,"instances":0,'
+        '"vacuous":true},"n":2,"q":5,"trivial_spectrum_form":{"all_expressible":true,'
+        '"candidates":50,"dim":1,"expressible":50}}'
+    ),
 }
 
 
@@ -308,9 +320,20 @@ def test_verify_classification_2_2():
     assert res["diagonalizable_form"]["vacuous"]
 
 
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_verify_classification_matches_gl_search(q):
+    alt = MatSpace.standard("alt", 2, PrimeField(q))
+    for case in verify_classification(2, q)["trivial_spectrum_form"]["cases"]:
+        assert case["expressible"] == (alt_multiplier_oracle(case["space"]) is not None)
+        if case["expressible"]:
+            P = case["P"]
+            assert alt.transform(P, "left") == case["space"]
+            assert non_isotropic(P).status == HOLDS
+
+
 def test_verify_classification_gate():
     with pytest.raises(InvalidInput):
-        verify_classification(2, 5)
+        verify_classification(2, 4)  # the census supports q in (2, 3, 5)
     with pytest.raises(CapExceeded):
         verify_classification(3, 2)  # needs --heavy
     with pytest.raises(BudgetExceeded):

@@ -185,6 +185,38 @@ def test_census_bad_size_exit2(capsys, argv):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--workers", "0"],
+        ["--workers", "-4"],
+        ["--witness-limit", "-1"],
+    ],
+)
+def test_census_bad_count_exit2(capsys, argv):
+    code, _ = run(capsys, "census", "--n", "2", "--q", "2", "--d", "1", "--pred", "diag", *argv)
+    assert code == 2
+
+
+def test_verify_rejects_unknown_engine(capsys, tmp_path):
+    out = str(tmp_path / "census.json")
+    run(capsys, "census", "--n", "2", "--q", "2", "--d", "1", "--pred", "diag", "--output", out)
+    report = json.loads(open(out).read())
+    report["result"]["engine"] = "turbo"
+    open(out, "w").write(json.dumps(report))
+    code, _ = run(capsys, "verify", "--input", out)
+    assert code == 2
+
+
+def test_classify_q5_roundtrip(capsys, tmp_path):
+    out = str(tmp_path / "classify5.json")
+    code, report = run(capsys, "census", "--task", "classify", "--n", "2", "--q", "5", "--output", out)
+    assert code == 0
+    assert report["result"]["trivial_spectrum_form"]["expressible"] == 50
+    code, summary = run(capsys, "verify", "--input", out)
+    assert code == 0 and summary["ok"]
+
+
 def test_unknown_flag_exit2(capsys, sym3_path):
     code, _ = run(capsys, "recover", "--input", sym3_path, "--frobnicate")
     assert code == 2

@@ -12,7 +12,13 @@ from matspace.errors import (
     Singular,
 )
 
-from oracles import random_invertible, random_matrix, random_space
+from oracles import (
+    members_oracle,
+    multipliers_oracle,
+    random_invertible,
+    random_matrix,
+    random_space,
+)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -65,6 +71,46 @@ def test_lattice_dimension_formula():
             s = (V + U).dim
             i = (V & U).dim
             assert V.dim + U.dim == s + i
+
+
+def _small_space_pairs(field, rng):
+    """Random (V, T) pairs in Mat_2, plus V = 0, T = 0 and T = full."""
+    zero, full = MatSpace.zero(field, 2), MatSpace.standard("full", 2, field)
+    pairs = [(random_space(field, 2, rng), random_space(field, 2, rng)) for _ in range(12)]
+    for V in (random_space(field, 2, rng), MatSpace.standard("sym", 2, field)):
+        pairs += [(zero, V), (V, zero), (V, full)]
+    return pairs
+
+
+@pytest.mark.parametrize("field", [F2, F3])
+def test_multipliers_match_brute_force(field):
+    rng = random.Random(29)
+    for V, T in _small_space_pairs(field, rng):
+        for side in ("left", "right"):
+            X = V.multipliers(T, side)
+            assert members_oracle(X) == multipliers_oracle(V, T, side), (V.rows, T.rows, side)
+
+
+@pytest.mark.parametrize("field", [F2, F3])
+def test_intersection_matches_brute_force(field):
+    rng = random.Random(31)
+    for V, U in _small_space_pairs(field, rng):
+        assert members_oracle(V & U) == members_oracle(V) & members_oracle(U)
+
+
+def test_multipliers_examples():
+    for field in ALL_FIELDS:
+        sym, alt = MatSpace.standard("sym", 3, field), MatSpace.standard("alt", 3, field)
+        scalar = MatSpace.standard("scalar", 3, field)
+        # Sym_3 * X inside Sym_3 only for scalar X; Alt_3 * X inside Alt_3 likewise
+        assert sym.multipliers(sym, "right") == scalar
+        assert alt.multipliers(alt, "left") == scalar
+        S = random_invertible(field, 3, random.Random(3))
+        assert sym.transform(S, "right").multipliers(sym, "right").contains(invert(S))
+    with pytest.raises(ShapeMismatch):
+        sym.multipliers(sym, "both")
+    with pytest.raises(FieldMismatch):
+        MatSpace.standard("sym", 2, F2).multipliers(MatSpace.standard("sym", 2, F3), "left")
 
 
 def test_standard_space_dims():
