@@ -4,15 +4,21 @@ Provides elimination (RREF, kernels, inverses), the division-free Berkowitz
 characteristic polynomial, Krylov minimal polynomials, and eigenvalue /
 diagonalizability tests over the ground field.  All operations are pure and
 matrices are immutable, so values can be shared freely.
+
+Over Q, eigenvalues come from Berkowitz run on plain ints (the matrix times
+the lcm of its denominators) and one integer root finder: a small-prime
+sieve, then Hensel lifting of the roots modulo a prime.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import FieldMismatch, ShapeMismatch, Singular
-from .fields import Field, Scalar
+from .fields import Field, PrimeField, RationalField, Scalar, is_prime
 from .polys import Poly
 
 # Exhaustive field scans (eigenvalue extraction, sqrt cross-checks) are only
@@ -384,6 +390,28 @@ def det(M: Matrix) -> Scalar:
 # -- characteristic and minimal polynomials ---------------------------------
 
 
+class _IntegerRing:
+    """The ring Z with the operations Berkowitz uses, so that it runs on ints."""
+
+    def zero(self) -> int:
+        return 0
+
+    def one(self) -> int:
+        return 1
+
+    def add(self, a: int, b: int) -> int:
+        return a + b
+
+    def mul(self, a: int, b: int) -> int:
+        return a * b
+
+    def neg(self, a: int) -> int:
+        return -a
+
+
+INTEGERS = _IntegerRing()
+
+
 def _berkowitz(field: Field, rows: list) -> list:
     """Coefficients of det(tI - M), highest degree first, by the division-free
     Berkowitz iteration on leading principal submatrices."""
@@ -433,7 +461,10 @@ def _dot(field: Field, xs, ys) -> Scalar:
 
 
 def char_poly_rows(field: Field, rows: list) -> list:
-    """Characteristic polynomial coefficients, low degree first."""
+    """Characteristic polynomial coefficients, low degree first.
+
+    `field` may also be INTEGERS, for an integer matrix.
+    """
     hi_first = _berkowitz(field, rows)
     return hi_first[::-1]
 
@@ -503,12 +534,13 @@ def eigenvalues_in_field(M: Matrix) -> list:
     Finite fields: gcd with t^q - t isolates the split part, whose roots are
     extracted by a full field scan when q <= 10^4 (with a degree cross-check
     against the gcd) and by seeded root splitting beyond that.  Rationals:
-    rational-root sieve on the primitive integer form.
+    Berkowitz on the integer matrix L*M (L the lcm of the denominators), whose
+    integer roots are L times the rational eigenvalues.
     """
     M._need_square()
     F = M.field
-    chi = char_poly(M)
     if F.is_finite:
+        chi = char_poly(M)
         g = _linear_factor_part(chi, F.cardinality)
         if g.degree <= 0:
             return []
@@ -519,47 +551,99 @@ def eigenvalues_in_field(M: Matrix) -> list:
         else:
             roots = sorted(_split_roots(g, random.Random(0)))
         return roots
-    return _rational_roots(chi)
+    L, rows = clear_denominators(M.rows)
+    return [Fraction(r, L) for r in _integer_roots(char_poly_rows(INTEGERS, rows))]
+
+
+def clear_denominators(rows) -> tuple[int, list[list[int]]]:
+    """L, the lcm of every entry's denominator, and the integer rows of L * rows."""
+    L = lcm(*(x.denominator for r in rows for x in r))
+    return L, [[x.numerator * (L // x.denominator) for x in r] for r in rows]
 
 
 def _rational_roots(chi: Poly) -> list:
-    """Distinct rational roots of a monic polynomial with Fraction coefficients."""
-    from fractions import Fraction
-    from math import gcd as igcd
+    """Distinct rational roots of a monic polynomial over Q, ascending.
 
-    if chi.degree <= 0:
+    With D the lcm of the denominators, D^d * chi(s/D) is monic over Z and
+    its integer roots are D times those of chi.
+    """
+    d = chi.degree
+    if d <= 0:
         return []
-    lcm = 1
-    for c in chi.coeffs:
-        lcm = lcm * c.denominator // igcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in chi.coeffs]
-    roots = []
+    D = lcm(*(c.denominator for c in chi.coeffs))
+    g = [c.numerator * (D ** (d - i) // c.denominator) for i, c in enumerate(chi.coeffs)]
+    return [Fraction(r, D) for r in _integer_roots(g)]
+
+
+# A polynomial without a root modulo one of these has no nonzero integer root.
+_SIEVE_PRIMES = (3, 5, 7, 11, 13)
+
+
+def _integer_roots(g: list[int]) -> list[int]:
+    """Distinct integer roots, ascending, of a monic integer polynomial (low degree first).
+
+    Zero roots are pulled off first, and the sieve rejects most of the rest.
+    Every other root r has |r| <= B, the Cauchy bound.  The roots of the
+    squarefree part h modulo a prime p where h stays squarefree are simple,
+    so each lifts uniquely (Hensel) to a root modulo p^k > 2B; the centred
+    residues that pass an exact check are the integer roots.
+    """
     k = 0
-    while k < len(ints) and ints[k] == 0:
+    while g[k] == 0:
         k += 1
-    if k > 0:
-        roots.append(Fraction(0))
-    a0 = abs(ints[k])
-    alead = abs(ints[-1])
-    for p in _divisors(a0):
-        for q in _divisors(alead):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if chi.eval(cand) == 0 and cand not in roots:
-                    roots.append(cand)
-    return sorted(roots)
+    roots = [0] if k else []
+    g = g[k:]
+    if len(g) == 1 or not all(_roots_mod(g, p) for p in _SIEVE_PRIMES):
+        return roots
+    h = _squarefree_part(g)
+    bound = 1 + max(abs(c) for c in h[:-1])
+    p = _separable_prime(h)
+    dh = [i * c for i, c in enumerate(h)][1:]
+    lifted, m = _roots_mod(h, p), p
+    while m <= 2 * bound:
+        # Newton step: a root mod m becomes the unique root mod m^2 above it.
+        lifted = [(r - _horner(h, r) * pow(_horner(dh, r), -1, m)) % (m * m) for r in lifted]
+        m *= m
+    centred = (r if 2 * r <= m else r - m for r in lifted)
+    return sorted(roots + [r for r in centred if _horner(g, r) == 0])
 
 
-def _divisors(n: int) -> list[int]:
-    if n == 0:
-        return []
-    out = set()
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.add(i)
-            out.add(n // i)
-        i += 1
-    return sorted(out)
+def _horner(g: list[int], x: int) -> int:
+    out = 0
+    for c in reversed(g):
+        out = out * x + c
+    return out
+
+
+def _roots_mod(g: list[int], p: int) -> list[int]:
+    """Roots of g modulo p, by a scan of all residues."""
+    gp = [c % p for c in reversed(g)]
+    out = []
+    for x in range(p):
+        v = 0
+        for c in gp:
+            v = (v * x + c) % p
+        if v == 0:
+            out.append(x)
+    return out
+
+
+def _squarefree_part(g: list[int]) -> list[int]:
+    """g / gcd(g, g'), monic over Z by Gauss's lemma."""
+    G = Poly(RationalField(), g)
+    d = Poly.gcd(G, G.derivative())
+    return g if d.degree == 0 else [c.numerator for c in (G // d).coeffs]
+
+
+def _separable_prime(h: list[int]) -> int:
+    """The smallest prime modulo which the squarefree monic h stays squarefree."""
+    p = 2
+    while True:
+        if is_prime(p):
+            H = Poly(PrimeField(p), h)
+            if Poly.gcd(H, H.derivative()).degree == 0:
+                return p
+        p += 1
 
 
 def is_diagonalizable(M: Matrix) -> bool:
@@ -579,8 +663,4 @@ def is_diagonalizable(M: Matrix) -> bool:
         return Poly.pow_mod(t, F.cardinality, m) == t % m
     if Poly.gcd(m, m.derivative()).degree != 0:
         return False
-    residual = m
-    for r in _rational_roots(m):
-        factor = Poly(F, [F.neg(r), F.one()])
-        residual = residual // factor
-    return residual.degree == 0
+    return len(_rational_roots(m)) == m.degree

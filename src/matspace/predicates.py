@@ -4,6 +4,13 @@ Over finite fields every predicate here is decided exhaustively and a Fails
 verdict always carries a witness that re-verifies on its own.  Over the
 rationals, irreducibility and isotropy are three-valued: Unknown is an honest
 answer and is never silently converted.
+
+The rational branches of `trivial_spectrum`, `all_diagonalizable` and the
+kernel starts of `irreducible` share one sampler: the basis, then seeded
+integer combinations, each projective class tested once.  They work on the
+integer matrix L*M (L the lcm of the basis denominators): char polys come
+from Berkowitz over the integers, eigenvalues from a sieve + Hensel integer
+root finder, and a Fraction matrix is built only for a witness.
 """
 
 from __future__ import annotations
@@ -11,18 +18,22 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd
 from typing import Iterator
 
 from .errors import BudgetExceeded, ZeroVector
 from .fields import Field, Scalar
 from .matrices import (
+    INTEGERS,
     Matrix,
     Vector,
+    _integer_roots,
     char_poly_rows,
+    clear_denominators,
     det,
-    eigenvalues_in_field,
     is_diagonalizable,
-    kernel_basis,
+    kernel_rows,
 )
 from .polys import Poly
 from .spaces import DEFAULT_BUDGET, MatSpace, VecSpace
@@ -88,15 +99,46 @@ def spin(V: MatSpace, v: Vector) -> VecSpace:
     return space
 
 
-def _rng_combination(V: MatSpace, basis: list[Matrix], rng: random.Random) -> Matrix:
-    """Pseudorandom member of V with small integer coefficients."""
-    F = V.field
-    out = Matrix.zero(F, V.n)
-    for B in basis:
-        c = rng.randint(-9, 9)
-        if c:
-            out = out + B * F.coerce(c)
-    return out
+def _samples(dim: int, seed: int, count: int, with_basis: bool = True) -> Iterator[tuple]:
+    """Coefficient vectors of the sampled members of a rational space.
+
+    The unit vectors (the basis members) unless `with_basis` is false, then
+    `count` seeded combinations with coefficients in [-9, 9].  A vector is
+    skipped when it is zero or its projective class was yielded before: for
+    c != 0, c*M has a nonzero eigenvalue, is diagonalizable and has the same
+    RREF kernel exactly when M does, so a repeat never fails first.
+    """
+    randint = random.Random(seed).randint
+    units = (tuple(int(i == j) for j in range(dim)) for i in range(dim) if with_basis)
+    draws = (tuple([randint(-9, 9) for _ in range(dim)]) for _ in range(count))
+    met, classes = set(), set()  # vectors drawn so far (a repeat needs no gcd); classes yielded
+    for c in itertools.chain(units, draws):
+        if c in met:
+            continue
+        met.add(c)
+        g = gcd(*c)
+        if g == 0:
+            continue
+        if next(x for x in c if x) < 0:
+            g = -g
+        key = tuple(x // g for x in c)
+        if key not in classes:
+            classes.add(key)
+            yield c
+
+
+def _integer_members(n: int, basis: list, samples: Iterator[tuple]) -> Iterator[list]:
+    """The integer n x n matrices sum(c_i * basis_i), basis given as flat int rows."""
+    for c in samples:
+        flat = [0] * (n * n)
+        for a, row in zip(c, basis):
+            if a:
+                flat = [x + a * y for x, y in zip(flat, row)]
+        yield [flat[i * n : (i + 1) * n] for i in range(n)]
+
+
+def _unscaled(F: Field, rows: list, L: int) -> Matrix:
+    return Matrix(F, [[Fraction(x, L) for x in r] for r in rows])
 
 
 def irreducible(V: MatSpace, budget: int = DEFAULT_BUDGET, seed: int = 0) -> Verdict:
@@ -119,12 +161,11 @@ def irreducible(V: MatSpace, budget: int = DEFAULT_BUDGET, seed: int = 0) -> Ver
             if not sub.is_full:
                 return Verdict.fails(sub)
         return Verdict.holds()
-    rng = random.Random(seed)
-    basis = V.basis()
+    _, basis = clear_denominators(V.rows)
+    samples = _samples(V.dim, seed, _Q_SAMPLE_KERNELS, with_basis=False)
     starts = [Vector.basis(F, n, i) for i in range(n)]
-    for _ in range(_Q_SAMPLE_KERNELS):
-        M = _rng_combination(V, basis, rng)
-        starts.extend(k for k in kernel_basis(M) if not k.is_zero)
+    for A in _integer_members(n, basis, samples):
+        starts.extend(Vector(F, k) for k in kernel_rows(F, A, n))
     for v in starts:
         sub = spin(V, v)
         if not sub.is_full:
@@ -144,15 +185,11 @@ def all_diagonalizable(V: MatSpace, budget: int = DEFAULT_BUDGET, seed: int = 0)
             if not is_diagonalizable(M):
                 return Verdict.fails(M)
         return Verdict.holds()
-    rng = random.Random(seed)
-    basis = V.basis()
-    for M in basis:
-        if not is_diagonalizable(M):
-            return Verdict.fails(M)
-    for _ in range(_Q_SAMPLE_TRIVIAL):
-        M = _rng_combination(V, basis, rng)
-        if not is_diagonalizable(M):
-            return Verdict.fails(M)
+    F = V.field
+    L, basis = clear_denominators(V.rows)
+    for A in _integer_members(V.n, basis, _samples(V.dim, seed, _Q_SAMPLE_TRIVIAL)):
+        if not is_diagonalizable(Matrix(F, A)):
+            return Verdict.fails(_unscaled(F, A, L))
     return Verdict.unknown("infinite field: sampled members only")
 
 
@@ -177,14 +214,12 @@ def trivial_spectrum(V: MatSpace, budget: int = DEFAULT_BUDGET, seed: int = 0) -
                 if chi.eval(lam) == 0:
                     return Verdict.fails((Matrix(F, rows), lam))
         return Verdict.holds()
-    rng = random.Random(seed)
-    basis = V.basis()
-    candidates = list(basis)
-    candidates += [_rng_combination(V, basis, rng) for _ in range(_Q_SAMPLE_TRIVIAL)]
-    for M in candidates:
-        for lam in eigenvalues_in_field(M):
-            if lam != 0:
-                return Verdict.fails((M, lam))
+    L, basis = clear_denominators(V.rows)
+    for A in _integer_members(V.n, basis, _samples(V.dim, seed, _Q_SAMPLE_TRIVIAL)):
+        # The integer roots of L*M's char poly are L times M's rational eigenvalues.
+        lam = next((r for r in _integer_roots(char_poly_rows(INTEGERS, A)) if r), 0)
+        if lam:
+            return Verdict.fails((_unscaled(F, A, L), Fraction(lam, L)))
     return Verdict.unknown("infinite field: sampled members only")
 
 

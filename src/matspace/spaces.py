@@ -10,6 +10,7 @@ products realize the form.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -145,11 +146,13 @@ class MatSpace:
         return cls(field, n, tuple(tuple(field.coerce(x) for x in r) for r in rows))
 
     @classmethod
+    @cache
     def standard(cls, kind: str, n: int, field: Field) -> "MatSpace":
         """One of the named spaces: sym, alt, strict_upper, diagonal, scalar, full.
 
         Alternating means A^T = -A with zero diagonal in every characteristic,
-        so its dimension is n(n-1)/2 even over GF(2).
+        so its dimension is n(n-1)/2 even over GF(2).  Spaces are immutable,
+        so each (kind, n, field) is built once and then shared.
         """
         if kind not in STANDARD_KINDS:
             raise ShapeMismatch(f"unknown standard space {kind!r}")

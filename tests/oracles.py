@@ -9,11 +9,14 @@ cross-checks (field arithmetic is the common, separately-tested base layer).
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import random
+from fractions import Fraction
 
-from matspace import Matrix, MatSpace, Vector
-from matspace.predicates import HOLDS, non_isotropic
+from matspace import MatSpace, Matrix, Poly, Vector, char_poly, kernel_basis, min_poly
+from matspace.predicates import HOLDS, Verdict, non_isotropic, spin
 
 
 def det_oracle(M):
@@ -172,3 +175,117 @@ def alt_multiplier_oracle(space: MatSpace):
         if non_isotropic(P).status == HOLDS and alt.transform(P, "left") == space:
             return P
     return None
+
+
+# -- rational sampling references ------------------------------------------------
+#
+# The rational branches as they were before sampling moved to integers:
+# trial-division rational roots of the Fraction char poly, and every seeded
+# member tested, repeats of a projective class included.
+
+_Q_SAMPLE_TRIVIAL = 1000
+_Q_SAMPLE_KERNELS = 100
+
+
+def divisors_oracle(n: int) -> list[int]:
+    if n == 0:
+        return []
+    out = set()
+    i = 1
+    while i * i <= n:
+        if n % i == 0:
+            out.add(i)
+            out.add(n // i)
+        i += 1
+    return sorted(out)
+
+
+def rational_roots_oracle(chi) -> list:
+    """Distinct rational roots of a Fraction polynomial by the rational-root theorem."""
+    if chi.degree <= 0:
+        return []
+    lcm = 1
+    for c in chi.coeffs:
+        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+    ints = [int(c * lcm) for c in chi.coeffs]
+    roots = []
+    k = 0
+    while k < len(ints) and ints[k] == 0:
+        k += 1
+    if k > 0:
+        roots.append(Fraction(0))
+    for p in divisors_oracle(abs(ints[k])):
+        for q in divisors_oracle(abs(ints[-1])):
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                if chi.eval(cand) == 0 and cand not in roots:
+                    roots.append(cand)
+    return sorted(roots)
+
+
+# Both are pure functions of the matrix; the cache only spares the sampled
+# loops below from recomputing a member that the seeded draws repeat.
+@functools.lru_cache(maxsize=4096)
+def eigenvalues_q_oracle(M):
+    return rational_roots_oracle(char_poly(M))
+
+
+@functools.lru_cache(maxsize=4096)
+def diagonalizable_q_oracle(M):
+    """Squarefree minimal polynomial whose rational linear factors exhaust it."""
+    F = M.field
+    m = min_poly(M)
+    if Poly.gcd(m, m.derivative()).degree != 0:
+        return False
+    residual = m
+    for r in rational_roots_oracle(m):
+        residual = residual // Poly(F, [F.neg(r), F.one()])
+    return residual.degree == 0
+
+
+def rng_combination_oracle(V: MatSpace, basis, rng: random.Random):
+    F = V.field
+    out = Matrix.zero(F, V.n)
+    for B in basis:
+        c = rng.randint(-9, 9)
+        if c:
+            out = out + B * F.coerce(c)
+    return out
+
+
+def _q_candidates_oracle(V: MatSpace, seed: int):
+    """The basis, then every seeded combination, repeats included."""
+    rng = random.Random(seed)
+    basis = V.basis()
+    yield from basis
+    for _ in range(_Q_SAMPLE_TRIVIAL):
+        yield rng_combination_oracle(V, basis, rng)
+
+
+def trivial_spectrum_q_oracle(V: MatSpace, seed: int = 0) -> Verdict:
+    for M in _q_candidates_oracle(V, seed):
+        for lam in eigenvalues_q_oracle(M):
+            if lam != 0:
+                return Verdict.fails((M, lam))
+    return Verdict.unknown("infinite field: sampled members only")
+
+
+def all_diagonalizable_q_oracle(V: MatSpace, seed: int = 0) -> Verdict:
+    for M in _q_candidates_oracle(V, seed):
+        if not diagonalizable_q_oracle(M):
+            return Verdict.fails(M)
+    return Verdict.unknown("infinite field: sampled members only")
+
+
+def irreducible_q_oracle(V: MatSpace, seed: int = 0) -> Verdict:
+    F, n = V.field, V.n
+    rng = random.Random(seed)
+    basis = V.basis()
+    starts = [Vector.basis(F, n, i) for i in range(n)]
+    for _ in range(_Q_SAMPLE_KERNELS):
+        M = rng_combination_oracle(V, basis, rng)
+        starts.extend(k for k in kernel_basis(M) if not k.is_zero)
+    for v in starts:
+        sub = spin(V, v)
+        if not sub.is_full:
+            return Verdict.fails(sub)
+    return Verdict.unknown("infinite field: irreducibility not decided")

@@ -122,6 +122,14 @@ def test_standard_space_dims():
     assert MatSpace.standard("full", 3, F2).dim == 9
 
 
+def test_standard_spaces_are_built_once():
+    sym = MatSpace.standard("sym", 3, Q)
+    assert MatSpace.standard("sym", 3, RationalField()) is sym
+    assert MatSpace.standard("sym", 3, PrimeField(7)) is MatSpace.standard("sym", 3, F7)
+    assert MatSpace.standard("sym", 3, F7) is not MatSpace.standard("sym", 3, F2)
+    assert MatSpace.standard("alt", 3, Q) is not sym
+
+
 def test_orth_examples():
     for field in ALL_FIELDS:
         for n in (2, 3, 4):
