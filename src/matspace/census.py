@@ -16,7 +16,8 @@ them subspace for subspace.
 run on both engines and share its gates: one entry gate (n >= 1, q, d, cap,
 --heavy), which `subspace_stream` also uses, and the budget bounds on the q^d
 members of a subspace and, when irreducibility is tested, on the
-(q^n - 1)/(q - 1) spin starts.  The classification check itself is linear
+(q^n - 1)/(q - 1) spin starts of its worst case (Norton's criterion usually
+settles it with two spins, but a reducible space takes the projective scan).  The classification check itself is linear
 algebra: the P with V = P * Alt_n are the invertible members of
 Alt_n.multipliers(V, "left"), so it covers every census q.
 """
@@ -264,8 +265,9 @@ def census(
     total = _gate(n, q, d, cap, heavy)
     if q**d > budget:
         raise BudgetExceeded(q**d, budget)
-    # Irreducibility spins from every projective point of F_q^n; the bound
-    # holds on both engines, although only the generic one counts the spins.
+    # Irreducibility spins from every projective point of F_q^n in the worst
+    # case, when Norton's criterion does not settle it; the bound holds on
+    # both engines, although only the generic one counts the spins.
     starts = (q**n - 1) // (q - 1)
     if "irreducible" in predicates and starts > budget:
         raise BudgetExceeded(starts, budget)

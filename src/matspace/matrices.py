@@ -7,7 +7,9 @@ matrices are immutable, so values can be shared freely.
 
 Over Q, eigenvalues come from Berkowitz run on plain ints (the matrix times
 the lcm of its denominators) and one integer root finder: a small-prime
-sieve, then Hensel lifting of the roots modulo a prime.
+sieve, then Hensel lifting of the roots modulo a prime.  Over GF(p), small
+helpers on int coefficient lists find an irreducible factor of multiplicity 1
+of a char poly, for the irreducibility test.
 """
 
 from __future__ import annotations
@@ -626,6 +628,84 @@ def _roots_mod(g: list[int], p: int) -> list[int]:
         if v == 0:
             out.append(x)
     return out
+
+
+# Polynomials over GF(p) as plain int lists, low degree first, canonical
+# residues and no trailing zeros (the zero polynomial is []).
+
+
+def _trim(f: list[int]) -> list[int]:
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def _divmod_mod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of f by a nonzero g over GF(p)."""
+    r = list(f)
+    dg = len(g) - 1
+    inv = pow(g[-1], -1, p)
+    quo = [0] * max(0, len(r) - dg)
+    for i in range(len(quo) - 1, -1, -1):
+        c = r[i + dg] * inv % p
+        if c:
+            quo[i] = c
+            for j, x in enumerate(g):
+                r[i + j] = (r[i + j] - c * x) % p
+    return _trim(quo), _trim(r[:dg])
+
+
+def _gcd_mod(f: list[int], g: list[int], p: int) -> list[int]:
+    """Monic gcd over GF(p) of two polynomials, not both zero."""
+    while g:
+        f, g = g, _divmod_mod(f, g, p)[1]
+    inv = pow(f[-1], -1, p)
+    return [c * inv % p for c in f]
+
+
+def _mulmod_mod(f: list[int], g: list[int], m: list[int], p: int) -> list[int]:
+    """f * g reduced modulo m over GF(p)."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    return _divmod_mod([c % p for c in out], m, p)[1]
+
+
+def _simple_factor_mod(f: list[int], p: int) -> list[int] | None:
+    """A monic irreducible factor of multiplicity 1 of the monic f over GF(p), or None.
+
+    With g = gcd(f, f') and r = f / g (the factors whose multiplicity p does
+    not divide), u = r / gcd(r, g) is the product of the simple factors.  A
+    distinct-degree split of u returns the first degree part that is a single
+    factor.  A part of several linear factors gives t - r for its least root
+    r when p <= SCAN_LIMIT; any other part of several factors of one degree
+    is divided out.
+    """
+    g = _gcd_mod(f, _trim([i * c % p for i, c in enumerate(f)][1:]), p)
+    r = _divmod_mod(f, g, p)[0]
+    u = _divmod_mod(r, _gcd_mod(r, g, p), p)[0]
+    h, d = [0, 1], 0  # h = t^(p^d) mod u
+    while len(u) > 1:
+        d += 1
+        if 2 * d > len(u) - 1:
+            return u  # every factor of degree below d is gone
+        base, e, h = h, p, [1]
+        while e:
+            if e & 1:
+                h = _mulmod_mod(h, base, u, p)
+            base = _mulmod_mod(base, base, u, p)
+            e >>= 1
+        part = _gcd_mod(u, _trim([(c - (i == 1)) % p for i, c in enumerate(h + [0, 0])]), p)
+        if len(part) - 1 == d:
+            return part
+        if d == 1 and len(part) > 2 and p <= SCAN_LIMIT:
+            return [-_roots_mod(part, p)[0] % p, 1]
+        if len(part) > 1:
+            u = _divmod_mod(u, part, p)[0]
+            h = _divmod_mod(h, u, p)[1]
+    return None
 
 
 def _squarefree_part(g: list[int]) -> list[int]:

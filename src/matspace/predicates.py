@@ -1,9 +1,11 @@
 """Decision procedures on subspaces, each returning a checkable verdict.
 
-Over finite fields every predicate here is decided exhaustively and a Fails
-verdict always carries a witness that re-verifies on its own.  Over the
-rationals, irreducibility and isotropy are three-valued: Unknown is an honest
-answer and is never silently converted.
+Over finite fields every predicate here is decided and a Fails verdict always
+carries a witness that re-verifies on its own.  Irreducibility is first tried
+with Norton's criterion (two spins); only when that does not prove it does
+the exhaustive projective scan run, so a witness always comes from the scan.
+Over the rationals, irreducibility and isotropy are three-valued: Unknown is
+an honest answer and is never silently converted.
 
 The rational branches of `trivial_spectrum`, `all_diagonalizable` and the
 kernel starts of `irreducible` share one sampler: the basis, then seeded
@@ -29,6 +31,7 @@ from .matrices import (
     Matrix,
     Vector,
     _integer_roots,
+    _simple_factor_mod,
     char_poly_rows,
     clear_denominators,
     det,
@@ -125,6 +128,8 @@ def _samples(dim: int, seed: int, count: int, with_basis: bool = True) -> Iterat
         if key not in classes:
             classes.add(key)
             yield c
+            if dim == 1:
+                return  # every nonzero vector of F^1 lies in this one class
 
 
 def _integer_members(n: int, basis: list, samples: Iterator[tuple]) -> Iterator[list]:
@@ -141,13 +146,50 @@ def _unscaled(F: Field, rows: list, L: int) -> Matrix:
     return Matrix(F, [[Fraction(x, L) for x in r] for r in rows])
 
 
+def _norton_holds(V: MatSpace) -> bool:
+    """Whether Norton's criterion proves V irreducible over GF(p).
+
+    It uses the first basis member a whose char poly has an irreducible
+    factor f of multiplicity 1.  Then theta = f(a) has nullity deg f and
+    ker theta is a simple F[a]-module, so a V-stable subspace that meets
+    ker theta contains all of it.  A proper V-stable subspace that misses
+    ker theta has an annihilator, stable under V^T, that meets ker theta^T.
+    So V is irreducible exactly when one nonzero v in ker theta spins to F^n
+    under V and one nonzero w in ker theta^T spins to F^n under V^T (Holt &
+    Rees 1994).  False means reducible, or no basis member has such an f.
+    """
+    F, n, p = V.field, V.n, V.field.cardinality
+    for flat in V.rows:
+        a = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
+        f = _simple_factor_mod(char_poly_rows(F, a), p)
+        if f is None:
+            continue
+        cols = list(zip(*a))
+        theta = [[0] * n for _ in range(n)]
+        for c in reversed(f):  # Horner: theta <- theta * a + c * I
+            theta = [
+                [(sum(x * y for x, y in zip(row, col)) + c * (i == j)) % p for j, col in enumerate(cols)]
+                for i, row in enumerate(theta)
+            ]
+        v = kernel_rows(F, theta, n)[0]
+        w = kernel_rows(F, [list(r) for r in zip(*theta)], n)[0]
+        # spin reads only the basis, so the transposed members need no canonical form.
+        transposed = tuple(tuple(r[j * n + i] for i in range(n) for j in range(n)) for r in V.rows)
+        return spin(V, Vector(F, v)).is_full and spin(MatSpace(F, n, transposed), Vector(F, w)).is_full
+    return False
+
+
 def irreducible(V: MatSpace, budget: int = DEFAULT_BUDGET, seed: int = 0) -> Verdict:
     """No nontrivial proper subspace of F^n is stable under every element of V.
 
-    Finite field: spin from one representative of every projective point; the
-    first proper spin is the witness.  Rationals: spin from the standard basis
-    and from kernel vectors of pseudorandom members; absence of a witness is
-    only ever Unknown.
+    Finite field: Holds when Norton's criterion proves it with two spins.
+    Otherwise (V reducible, or `_simple_factor_mod` finds no factor in the
+    char poly of any basis member: V = 0, scalar or nilpotent members, only
+    repeated factors) spin from one representative of every projective
+    point; the first proper spin is the witness.  The budget bounds those
+    (q^n - 1)/(q - 1) starts either way.  Rationals: spin from the standard basis and from kernel
+    vectors of pseudorandom members; absence of a witness is only ever
+    Unknown.
     """
     F = V.field
     n = V.n
@@ -156,6 +198,8 @@ def irreducible(V: MatSpace, budget: int = DEFAULT_BUDGET, seed: int = 0) -> Ver
         starts = (q**n - 1) // (q - 1)
         if starts > budget:
             raise BudgetExceeded(starts, budget)
+        if _norton_holds(V):
+            return Verdict.holds()
         for v in projective_points(F, n):
             sub = spin(V, v)
             if not sub.is_full:

@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 
 from matspace import MatSpace, Matrix, Poly, Vector, char_poly, kernel_basis, min_poly
-from matspace.predicates import HOLDS, Verdict, non_isotropic, spin
+from matspace.predicates import HOLDS, Verdict, non_isotropic, projective_points, spin
 
 
 def det_oracle(M):
@@ -105,6 +105,19 @@ def irreducible_lines_oracle(V: MatSpace):
         if stable:
             return False  # a stable line exists
     return True
+
+
+def irreducible_scan_oracle(V: MatSpace) -> Verdict:
+    """Finite-field irreducibility by spinning from every projective point.
+
+    The first proper spin is the witness; `irreducible` must return exactly
+    this verdict, whether or not Norton's criterion settles it first.
+    """
+    for v in projective_points(V.field, V.n):
+        sub = spin(V, v)
+        if not sub.is_full:
+            return Verdict.fails(sub)
+    return Verdict.holds()
 
 
 def gaussian_binomial_oracle(m, d, q):

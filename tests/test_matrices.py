@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from matspace import (
     rref,
 )
 from matspace.errors import FieldMismatch, ShapeMismatch, Singular
+from matspace.matrices import _simple_factor_mod
 
 from oracles import (
     det_oracle,
@@ -210,6 +212,50 @@ def test_is_diagonalizable_oracle_random():
             for _ in range(20):
                 M = random_matrix(field, n, rng)
                 assert is_diagonalizable(M) == diagonalizable_oracle(M)
+
+
+def monic_polys(field, d):
+    for tail in itertools.product(range(field.p), repeat=d):
+        yield Poly(field, list(tail) + [1])
+
+
+def test_simple_factor_mod_against_trial_division():
+    # Every monic f of degree 1..5 over GF(2), GF(3) and 1..4 over GF(5).
+    # With a simple root, the answer is t - r for the least simple root r.
+    # Otherwise it is the simple irreducible factor of the least degree at
+    # which f has exactly one, and None when no degree has exactly one.
+    for p, top in ((2, 5), (3, 5), (5, 4)):
+        F = PrimeField(p)
+        irreducibles = []
+        for d in range(1, top + 1):
+            irreducibles += [g for g in monic_polys(F, d) if all(not (g % h).is_zero for h in irreducibles)]
+        for d in range(1, top + 1):
+            for f in monic_polys(F, d):
+                simple = []
+                for g in irreducibles:
+                    k, rest = 0, f
+                    while (rest % g).is_zero:
+                        rest, k = rest // g, k + 1
+                    if k == 1:
+                        simple.append(g)
+                degrees = [g.degree for g in simple]
+                lone = [g for g in simple if g.degree == 1 or degrees.count(g.degree) == 1]
+                want = min(lone, key=lambda g: (g.degree, F.neg(g.coeffs[0]))) if lone else None
+                got = _simple_factor_mod(list(f.coeffs), p)
+                assert got == (list(want.coeffs) if want else None), (p, f)
+
+
+def test_simple_factor_mod_beyond_the_root_scan():
+    # Above SCAN_LIMIT two simple linear factors stay unsplit: t(t - 1)(t + 1)
+    # has no lone degree, while t(t - 1)(t^2 + 1) gives its quadratic factor.
+    p = 10007
+    F = PrimeField(p)
+    t = Poly(F, [0, 1])
+    linear = t * (t - Poly.one(F)) * (t + Poly.one(F))
+    assert _simple_factor_mod(list(linear.coeffs), p) is None
+    mixed = t * (t - Poly.one(F)) * Poly(F, [1, 0, 1])  # p = 3 mod 4: t^2 + 1 irreducible
+    assert _simple_factor_mod(list(mixed.coeffs), p) == [1, 0, 1]
+    assert _simple_factor_mod(list(mixed.coeffs), 7) == [0, 1]
 
 
 def test_matrix_constructors():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -14,14 +15,22 @@ from matspace import (
     all_diagonalizable,
     irreducible,
     non_isotropic,
+    Poly,
     projective_points,
     spin,
     trivial_spectrum,
 )
+from matspace import predicates
 from matspace.errors import BudgetExceeded, ZeroVector
-from matspace.predicates import FAILS, HOLDS, UNKNOWN
+from matspace.matrices import _simple_factor_mod
+from matspace.predicates import FAILS, HOLDS, UNKNOWN, Verdict, _norton_holds
 
-from oracles import irreducible_lines_oracle, random_invertible, random_space
+from oracles import (
+    irreducible_lines_oracle,
+    irreducible_scan_oracle,
+    random_invertible,
+    random_space,
+)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -126,6 +135,156 @@ def test_irreducible_matches_lines_oracle():
         for _ in range(50):
             V = random_space(field, 2, rng)
             assert (irreducible(V).status == HOLDS) == irreducible_lines_oracle(V)
+
+
+# -- Norton's criterion against the exhaustive scan -------------------------------
+
+F11 = PrimeField(11)
+F101 = PrimeField(101)
+
+
+def companion(field, chi):
+    """Companion matrix of the monic chi (a Poly): e_i -> e_(i+1), last column -chi."""
+    n = chi.degree
+    rows = [[0] * n for _ in range(n)]
+    for i in range(1, n):
+        rows[i][i - 1] = 1
+    for i in range(n):
+        rows[i][n - 1] = field.neg(chi.coeffs[i])
+    return Matrix(field, rows)
+
+
+def irreducible_poly(field, d, rng):
+    """A random monic irreducible of degree d, by trial division."""
+    while True:
+        chi = Poly(field, [rng.randrange(field.p) for _ in range(d)] + [1])
+        divisors = (
+            Poly(field, list(c) + [1])
+            for k in range(1, d // 2 + 1)
+            for c in itertools.product(range(field.p), repeat=k)
+        )
+        if all(not (chi % g).is_zero for g in divisors):
+            return chi
+
+
+def block_triangular(field, n, rng):
+    """A conjugate of a random space that keeps the first k coordinates stable."""
+    k = rng.randint(1, n - 1)
+    mats = [
+        Matrix(field, [[rng.randrange(field.p) if i < k or j >= k else 0 for j in range(n)] for i in range(n)])
+        for _ in range(rng.randint(1, 3))
+    ]
+    return MatSpace.span(mats).conjugate(random_invertible(field, n, rng))
+
+
+def orth_of_conjugate(field, n, rng):
+    return MatSpace.standard("sym", n, field).conjugate(random_invertible(field, n, rng)).orth()
+
+
+@pytest.fixture
+def spins(monkeypatch):
+    """Counts the calls of predicates.spin, which irreducible looks up at call time."""
+    count = [0]
+    real = predicates.spin
+
+    def counted(V, v):
+        count[0] += 1
+        return real(V, v)
+
+    monkeypatch.setattr(predicates, "spin", counted)
+    return count
+
+
+def test_irreducible_matches_scan_on_random_and_block_triangular_spaces():
+    rng = random.Random(61)
+    statuses = {HOLDS: 0, FAILS: 0}
+    for field in (F2, F3, F5, F7, F11):
+        for n in (2, 3, 4) if field.p <= 3 else (2, 3):
+            for _ in range(10):
+                for V in (random_space(field, n, rng), block_triangular(field, n, rng)):
+                    got = irreducible(V)
+                    assert got == irreducible_scan_oracle(V), (field, V.rows)
+                    statuses[got.status] += 1
+    assert min(statuses.values()) >= 60
+
+
+def test_irreducible_char_poly_of_degree_n_needs_no_kernel(spins):
+    # theta = chi(a) = 0, so v and w are basis vectors and two spins decide it.
+    rng = random.Random(62)
+    for field in (F2, F3, F5, F7, F11):
+        for n in (2, 3, 4):
+            C = companion(field, irreducible_poly(field, n, rng))
+            V = MatSpace.span([C]).conjugate(random_invertible(field, n, rng))
+            spins[0] = 0
+            assert irreducible(V) == Verdict.holds()
+            assert spins[0] == 2
+            assert irreducible_scan_oracle(V) == Verdict.holds()
+
+
+def test_irreducible_with_only_a_quadratic_simple_factor():
+    # chi = (t - 1)^2 (t^2 + 1) over GF(3): t^2 + 1 is the only simple factor,
+    # so ker theta is 2-dimensional.  The cyclic companion alone keeps it
+    # stable; adding E_41 (zero in the companion, so the companion stays the
+    # first basis member up to a scalar) makes the space irreducible.
+    chi = Poly(F3, [2, 1]) * Poly(F3, [2, 1]) * Poly(F3, [1, 0, 1])
+    assert _simple_factor_mod(list(chi.coeffs), 3) == [1, 0, 1]
+    C = companion(F3, chi)
+    alone = MatSpace.span([C])
+    grown = MatSpace.span([C, Matrix.unit(F3, 4, 3, 0)])
+    assert grown.rows[0] == tuple(2 * x % 3 for x in C.vec())
+    assert not _norton_holds(alone) and _norton_holds(grown)
+    assert irreducible(alone) == irreducible_scan_oracle(alone)
+    assert irreducible(alone).status == FAILS
+    assert irreducible(grown) == irreducible_scan_oracle(grown) == Verdict.holds()
+
+
+def test_irreducible_without_a_usable_member_takes_the_scan():
+    E = Matrix.unit
+    t_plus_1 = Poly(F3, [1, 1])
+    spaces = [
+        MatSpace.standard("scalar", 3, F5),
+        MatSpace.standard("strict_upper", 3, F7),  # nilpotent members
+        MatSpace.span([companion(F3, t_plus_1 * t_plus_1)]),
+        MatSpace.span([E(F2, 4, 0, 1) + E(F2, 4, 1, 0) + E(F2, 4, 2, 3) + E(F2, 4, 3, 2)]),  # (t + 1)^4
+        MatSpace.zero(F5, 2),
+        MatSpace.zero(F2, 3),
+    ]
+    # Irreducible spaces spanned by the nilpotent E_(i,i+1) and E_(i+1,i),
+    # which are also their canonical basis: only the scan proves them.
+    for field, n in ((F7, 2), (F5, 3), (F3, 4)):
+        units = [E(field, n, i, j) for i in range(n) for j in range(n) if abs(i - j) == 1]
+        spaces.append(MatSpace.span(units))
+    for V in spaces:
+        assert not _norton_holds(V), V.rows
+        assert irreducible(V) == irreducible_scan_oracle(V), V.rows
+    statuses = [irreducible(V).status for V in spaces]
+    assert statuses == [FAILS] * 6 + [HOLDS] * 3
+
+
+def test_irreducible_in_dimension_one():
+    for field in (F2, F3, F101):
+        for V in (MatSpace.zero(field, 1), MatSpace.span([Matrix(field, [[field.p - 1]])])):
+            assert irreducible(V) == irreducible_scan_oracle(V) == Verdict.holds()
+
+
+def test_irreducible_spins_at_most_twice_on_orth_of_conjugates(spins):
+    # The scan alone spins (q^n - 1)/(q - 1) times when V-perp is
+    # irreducible: 10,303 for GF(101), n = 3 and 8 for GF(7), n = 2.
+    rng = random.Random(64)
+    for field, n in ((F101, 3), (F7, 2)):
+        Vp = orth_of_conjugate(field, n, rng)
+        spins[0] = 0
+        assert irreducible(Vp) == Verdict.holds()
+        assert spins[0] <= 2
+
+
+def test_irreducible_budget_still_bounds_the_scan_starts():
+    # Norton needs two spins, but a budget below the 8 scan starts of
+    # GF(7)^2 is still refused before any work.
+    Vp = orth_of_conjugate(F7, 2, random.Random(65))
+    with pytest.raises(BudgetExceeded):
+        irreducible(Vp, budget=7)
+    assert irreducible(Vp, budget=8) == Verdict.holds()
 
 
 def test_irreducible_over_q():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from matspace.errors import (
 )
 from matspace.predicates import FAILS, HOLDS, UNKNOWN
 from matspace.recovery import CONDITIONAL, FAILURE, PARTIAL, SUCCESS
+from matspace.serialize import canonical_json, recovery_report
 
 from oracles import random_invertible, random_space
 
@@ -416,3 +418,40 @@ def test_recover_no_symmetrizer():
     rep = recover(V)
     assert rep.status == FAILURE
     assert rep.failure_stage in ("symmetrizer", "right_mul_is_sym")
+
+
+# -- frozen finite-field recovery reports ----------------------------------------
+#
+# sha256 of the whole canonical report, taken from the code before Norton's
+# criterion decided irreducibility: the orth_irreducible verdicts (holds for
+# GF(101), n = 3 and GF(7), n = 4, fails with a witness for GF(101), n = 2)
+# and every other byte must stay as the exhaustive scan left them.
+
+FROZEN_FP_RECOVERY = {
+    "gf101_conj3": "42f5aa0be8ddbd7e4a20a4b6ef1b3171935644ed2bd38c0addd6fe695ffb99b1",
+    "gf101_conj2": "5ba5e483348fdb0788377530e5687f545e694eabbeb1585d54e42639c851bf7a",
+    "gf7_conj4": "17b32e85296ceecf443a4e0a1638b88c9e97595c06caf94f87a9639388b996fd",
+    "gf3_obstructed4": "908f2e4d0a2c90d7fbb8d52945ef54c2cea3f21c56c489359f39f9627aae41f1",
+}
+
+
+def frozen_fp_input(name):
+    if name == "gf101_conj3":
+        F = PrimeField(101)
+        return sym(3, F).conjugate(Matrix(F, [[3, 1, 4], [1, 5, 9], [2, 6, 5]]))
+    if name == "gf101_conj2":
+        F = PrimeField(101)
+        return sym(2, F).conjugate(Matrix(F, [[2, 7], [1, 8]]))
+    if name == "gf7_conj4":
+        S = Matrix(F7, [[1, 2, 0, 3], [0, 1, 4, 1], [5, 0, 1, 2], [1, 1, 1, 0]])
+        return sym(4, F7).conjugate(S)
+    # Sym_4 * P^-1 with disc(P) = 2, a non-square mod 3.
+    T = Matrix(F3, [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 2]])
+    P = T * Matrix.diagonal(F3, [1, 1, 1, 2]) * T.transpose()
+    return sym(4, F3).transform(invert(P), "right")
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_FP_RECOVERY))
+def test_fp_recovery_report_bytes(name):
+    text = canonical_json(recovery_report(recover(frozen_fp_input(name))))
+    assert hashlib.sha256(text.encode()).hexdigest() == FROZEN_FP_RECOVERY[name]
