@@ -374,8 +374,9 @@ def verify_classification(
     cases = []
     for space in candidates:
         # A non-isotropic X is invertible (a kernel vector is isotropic), so
-        # X * Alt_n inside V has dimension n(n-1)/2 and is all of V.
-        members = alt.multipliers(space, "left").elements(budget)
+        # X * Alt_n inside V has dimension n(n-1)/2 and is all of V.  c*X is
+        # non-isotropic exactly when X is, so one member per class is tried.
+        members = alt.multipliers(space, "left").projective_elements(budget)
         P = next((X for X in members if non_isotropic(X).status == HOLDS), None)
         cases.append({"space": space, "P": P, "expressible": P is not None})
 

@@ -7,9 +7,10 @@ matrices are immutable, so values can be shared freely.
 
 Over Q, eigenvalues come from Berkowitz run on plain ints (the matrix times
 the lcm of its denominators) and one integer root finder: a small-prime
-sieve, then Hensel lifting of the roots modulo a prime.  Over GF(p), small
-helpers on int coefficient lists find an irreducible factor of multiplicity 1
-of a char poly, for the irreducibility test.
+sieve, then Hensel lifting of the roots modulo a prime.  Over GF(p),
+elimination and the diagonalizability test (M^p = M) run on plain ints mod
+p, and small helpers on int coefficient lists find an irreducible factor of
+multiplicity 1 of a char poly, for the irreducibility test.
 """
 
 from __future__ import annotations
@@ -286,8 +287,13 @@ class Matrix:
 
 
 def rref_rows(field: Field, rows: list) -> tuple[list, list[int]]:
-    """In-place style RREF on a list of coefficient rows; returns (rows, pivot columns)."""
+    """In-place style RREF on a list of coefficient rows; returns (rows, pivot columns).
+
+    Over GF(p) the row operations run inline on plain ints mod p; over Q
+    they go through the field's methods.
+    """
     rows = [list(r) for r in rows]
+    p = field.p if isinstance(field, PrimeField) else 0
     m = len(rows)
     ncols = len(rows[0]) if m else 0
     pivots: list[int] = []
@@ -301,14 +307,17 @@ def rref_rows(field: Field, rows: list) -> tuple[list, list[int]]:
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = field.inv(rows[r][c])
+        inv = pow(rows[r][c], -1, p) if p else field.inv(rows[r][c])
         if inv != 1:
-            rows[r] = [field.mul(inv, v) for v in rows[r]]
+            rows[r] = [inv * v % p for v in rows[r]] if p else [field.mul(inv, v) for v in rows[r]]
         prow = rows[r]
         for i in range(m):
             f = rows[i][c]
             if i != r and f != 0:
-                rows[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(rows[i], prow)]
+                if p:
+                    rows[i] = [(a - f * b) % p for a, b in zip(rows[i], prow)]
+                else:
+                    rows[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(rows[i], prow)]
         pivots.append(c)
         r += 1
         if r == m:
@@ -726,21 +735,35 @@ def _separable_prime(h: list[int]) -> int:
         p += 1
 
 
+def _matmul_mod(A: list, B: list, p: int) -> list:
+    cols = list(zip(*B))
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in A]
+
+
 def is_diagonalizable(M: Matrix) -> bool:
     """Whether M is diagonalizable over its own ground field.
 
-    Finite field: the minimal polynomial must divide t^q - t (squarefree and
-    split), checked via t^q mod m == t.  Rationals: squarefree minimal
-    polynomial whose rational linear factors exhaust it.
+    Finite field GF(p): M^p = M, that is the minimal polynomial divides
+    t^p - t (squarefree and split), with M^p by repeated squaring on plain
+    ints mod p.  Rationals: squarefree minimal polynomial whose rational
+    linear factors exhaust it.
     """
     M._need_square()
     F = M.field
     if M.nrows == 0:
         return True
-    m = min_poly(M)
     if F.is_finite:
-        t = Poly.x(F)
-        return Poly.pow_mod(t, F.cardinality, m) == t % m
+        p = F.cardinality
+        rows = [list(r) for r in M.rows]
+        power, base, e = None, rows, p
+        while e:
+            if e & 1:
+                power = base if power is None else _matmul_mod(power, base, p)
+            e >>= 1
+            if e:
+                base = _matmul_mod(base, base, p)
+        return power == rows
+    m = min_poly(M)
     if Poly.gcd(m, m.derivative()).degree != 0:
         return False
     return len(_rational_roots(m)) == m.degree

@@ -4,6 +4,11 @@ Over finite fields every predicate here is decided and a Fails verdict always
 carries a witness that re-verifies on its own.  Irreducibility is first tried
 with Norton's criterion (two spins); only when that does not prove it does
 the exhaustive projective scan run, so a witness always comes from the scan.
+`trivial_spectrum` and `all_diagonalizable` ask a scale-invariant question of
+each member, so they test one member per projective class
+(`MatSpace.projective_rows`), on plain ints mod p, and still return the first
+failing member of the full enumeration; `non_isotropic` solves for the last
+coordinate of each projective point instead of trying its q values.
 Over the rationals, irreducibility and isotropy are three-valued: Unknown is
 an honest answer and is never silently converted.
 
@@ -30,7 +35,9 @@ from .matrices import (
     INTEGERS,
     Matrix,
     Vector,
+    _horner,
     _integer_roots,
+    _matmul_mod,
     _simple_factor_mod,
     char_poly_rows,
     clear_denominators,
@@ -38,7 +45,6 @@ from .matrices import (
     is_diagonalizable,
     kernel_rows,
 )
-from .polys import Poly
 from .spaces import DEFAULT_BUDGET, MatSpace, VecSpace
 
 HOLDS = "holds"
@@ -156,7 +162,9 @@ def _norton_holds(V: MatSpace) -> bool:
     ker theta has an annihilator, stable under V^T, that meets ker theta^T.
     So V is irreducible exactly when one nonzero v in ker theta spins to F^n
     under V and one nonzero w in ker theta^T spins to F^n under V^T (Holt &
-    Rees 1994).  False means reducible, or no basis member has such an f.
+    Rees 1994).  When dim V = 1 and deg f < n, V = <a> is reducible and
+    no spin is made.  False means reducible, or no basis member has such
+    an f.
     """
     F, n, p = V.field, V.n, V.field.cardinality
     for flat in V.rows:
@@ -164,13 +172,13 @@ def _norton_holds(V: MatSpace) -> bool:
         f = _simple_factor_mod(char_poly_rows(F, a), p)
         if f is None:
             continue
-        cols = list(zip(*a))
+        if V.dim == 1 and len(f) <= n:
+            return False  # ker f(a) is a proper <a>-stable subspace
         theta = [[0] * n for _ in range(n)]
         for c in reversed(f):  # Horner: theta <- theta * a + c * I
-            theta = [
-                [(sum(x * y for x, y in zip(row, col)) + c * (i == j)) % p for j, col in enumerate(cols)]
-                for i, row in enumerate(theta)
-            ]
+            theta = _matmul_mod(theta, a, p)
+            for i in range(n):
+                theta[i][i] = (theta[i][i] + c) % p
         v = kernel_rows(F, theta, n)[0]
         w = kernel_rows(F, [list(r) for r in zip(*theta)], n)[0]
         # spin reads only the basis, so the transposed members need no canonical form.
@@ -183,13 +191,14 @@ def irreducible(V: MatSpace, budget: int = DEFAULT_BUDGET, seed: int = 0) -> Ver
     """No nontrivial proper subspace of F^n is stable under every element of V.
 
     Finite field: Holds when Norton's criterion proves it with two spins.
-    Otherwise (V reducible, or `_simple_factor_mod` finds no factor in the
-    char poly of any basis member: V = 0, scalar or nilpotent members, only
-    repeated factors) spin from one representative of every projective
-    point; the first proper spin is the witness.  The budget bounds those
-    (q^n - 1)/(q - 1) starts either way.  Rationals: spin from the standard basis and from kernel
-    vectors of pseudorandom members; absence of a witness is only ever
-    Unknown.
+    Otherwise (V reducible, which a line <a> whose char poly has a simple
+    factor of degree < n shows before any spin, or `_simple_factor_mod`
+    finds no factor in the char poly of any basis member: V = 0, scalar or
+    nilpotent members, only repeated factors) spin from one representative
+    of every projective point; the first proper spin is the witness.  The
+    budget bounds those (q^n - 1)/(q - 1) starts either way.  Rationals:
+    spin from the standard basis and from kernel vectors of pseudorandom
+    members; absence of a witness is only ever Unknown.
     """
     F = V.field
     n = V.n
@@ -220,12 +229,15 @@ def irreducible(V: MatSpace, budget: int = DEFAULT_BUDGET, seed: int = 0) -> Ver
 def all_diagonalizable(V: MatSpace, budget: int = DEFAULT_BUDGET, seed: int = 0) -> Verdict:
     """Every member of V is diagonalizable over the ground field.
 
-    Exhaustive over finite fields (within budget).  Over the rationals only a
-    seeded sample is inspected for a falsifying member; otherwise Unknown,
-    since exhaustiveness is impossible.
+    Exhaustive over finite fields (within the budget on all q^dim members):
+    c*M is diagonalizable exactly when M is, so one member per projective
+    class is tested, in `MatSpace.projective_rows` order, and the witness is
+    the first non-diagonalizable member of the full enumeration.  Over the
+    rationals only a seeded sample is inspected for a falsifying member;
+    otherwise Unknown, since exhaustiveness is impossible.
     """
     if V.field.is_finite:
-        for M in V.elements(budget):
+        for M in V.projective_elements(budget):
             if not is_diagonalizable(M):
                 return Verdict.fails(M)
         return Verdict.holds()
@@ -237,26 +249,33 @@ def all_diagonalizable(V: MatSpace, budget: int = DEFAULT_BUDGET, seed: int = 0)
     return Verdict.unknown("infinite field: sampled members only")
 
 
+def _least_nonzero_root(chi: list[int], p: int) -> int:
+    """The least lam in 1..p-1 with chi(lam) = 0 mod p, or 0 when there is none."""
+    return next((lam for lam in range(1, p) if _horner(chi, lam) % p == 0), 0)
+
+
 def trivial_spectrum(V: MatSpace, budget: int = DEFAULT_BUDGET, seed: int = 0) -> Verdict:
     """No member of V has a nonzero eigenvalue in the ground field.
 
-    A Fails witness is the pair (member, nonzero eigenvalue).  Over the
-    rationals the basis plus seeded samples are tested; a clean pass is
-    reported as Unknown("sampled"), never Holds.
+    A Fails witness is the pair (member, nonzero eigenvalue).  Over GF(p),
+    c*M has a nonzero eigenvalue exactly when M does, so one member per
+    projective class is tested (the budget still bounds all p^dim members):
+    its char poly comes from Berkowitz on plain ints, and the witness
+    eigenvalue is its least nonzero root, found by a Horner scan mod p.
+    Over the rationals the basis plus seeded samples are tested; a clean
+    pass is reported as Unknown("sampled"), never Holds.
     """
     F = V.field
     if F.is_finite:
-        q = F.cardinality
         total = V.element_count()
         if total > budget:
             raise BudgetExceeded(total, budget)
-        n = V.n
-        for flat in V.element_rows(budget):
+        p, n = F.cardinality, V.n
+        for flat in V.projective_rows(budget):
             rows = [flat[i * n : (i + 1) * n] for i in range(n)]
-            chi = Poly(F, char_poly_rows(F, rows))
-            for lam in range(1, q):
-                if chi.eval(lam) == 0:
-                    return Verdict.fails((Matrix(F, rows), lam))
+            lam = _least_nonzero_root(char_poly_rows(INTEGERS, rows), p)
+            if lam:
+                return Verdict.fails((Matrix(F, rows), lam))
         return Verdict.holds()
     L, basis = clear_denominators(V.rows)
     for A in _integer_members(V.n, basis, _samples(V.dim, seed, _Q_SAMPLE_TRIVIAL)):
@@ -275,20 +294,50 @@ def _leading_minors(P: Matrix) -> list[Scalar]:
     return out
 
 
+def _least_root_in_last(a: int, b: int, c: int, F: Field) -> int | None:
+    """The least z in GF(p) with a*z^2 + b*z + c = 0, or None."""
+    p = F.cardinality
+    if p == 2:  # z^2 = z
+        return next((z for z in (0, 1) if (a * z + b * z + c) % 2 == 0), None)
+    if a == 0:
+        if b:
+            return -c * pow(b, -1, p) % p
+        return 0 if c == 0 else None
+    s = F.sqrt(b * b - 4 * a * c)
+    if s is None:
+        return None
+    inv = pow(2 * a, -1, p)
+    return min((-b + s) * inv % p, (-b - s) * inv % p)
+
+
 def non_isotropic(P: Matrix) -> Verdict:
     """X^T P X != 0 for every nonzero X.
 
-    Finite field: evaluated on one representative per projective point.
-    Rationals: definiteness via leading principal minors proves Holds; a zero
-    value on small integer vectors proves Fails; otherwise Unknown.
+    Finite field: the witness is the first isotropic point in
+    `projective_points` order.  The points sharing all coordinates but the
+    last form one prefix, on which X^T P X is a quadratic a*z^2 + b*z + c
+    in the last coordinate z; its least root (from `Field.sqrt` for odd p,
+    by trying z = 0, 1 for p = 2) is the prefix's first isotropic point.  So
+    n = 2 takes two prefixes and n >= 3 about p^(n-2).  Rationals:
+    definiteness via leading principal minors proves Holds; a zero value on
+    small integer vectors proves Fails; otherwise Unknown.
     """
     P._need_square()
     F = P.field
     n = P.nrows
     if F.is_finite:
-        for x in projective_points(F, n):
-            if x.dot(P * x) == 0:
-                return Verdict.fails(x)
+        p, rows = F.cardinality, P.rows
+        a = rows[-1][-1]
+        for lead in range(n - 1):
+            for mid in itertools.product(range(p), repeat=n - lead - 2):
+                x = [0] * lead + [1, *mid]
+                b = sum((rows[i][-1] + rows[-1][i]) * xi for i, xi in enumerate(x))
+                c = sum(xi * sum(r * xj for r, xj in zip(rows[i], x)) for i, xi in enumerate(x) if xi)
+                z = _least_root_in_last(a, b % p, c % p, F)
+                if z is not None:
+                    return Verdict.fails(Vector(F, x + [z]))
+        if a == 0:
+            return Verdict.fails(Vector.basis(F, n, n - 1))
         return Verdict.holds()
     if P.is_symmetric:
         minors = _leading_minors(P)

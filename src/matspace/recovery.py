@@ -133,8 +133,9 @@ def solve_symmetrizer(V: MatSpace, budget: int = DEFAULT_BUDGET) -> tuple[MatSpa
     """Solution space of "M*P symmetric for every M in V", plus an invertible pick.
 
     The solution space is V.multipliers(Sym_n, "right").  The choice scans its
-    canonical basis first, then all of its elements (finite fields, within
-    budget) or integer combinations with coefficients in [-3, 3] (rationals).
+    canonical basis first, then its elements (finite fields, one per
+    projective class, within the budget on all of them) or integer
+    combinations with coefficients in [-3, 3] (rationals).
     """
     F = V.field
     n = V.n
@@ -150,7 +151,8 @@ def solve_symmetrizer(V: MatSpace, budget: int = DEFAULT_BUDGET) -> tuple[MatSpa
     if space.dim == 0:
         raise NoInvertibleSolution("solution space is zero", exhaustive=True)
     if F.is_finite:
-        for P in space.elements(budget):
+        # Invertibility is scale-invariant, so the first invertible member is a kept one.
+        for P in space.projective_elements(budget):
             if _invertible(P):
                 return space, P
         raise NoInvertibleSolution(

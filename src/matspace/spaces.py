@@ -312,29 +312,56 @@ class MatSpace:
         return self.field.cardinality**self.dim
 
     def elements(self, budget: int = DEFAULT_BUDGET) -> Iterator[Matrix]:
-        """All q^dim members, first basis coefficient varying fastest."""
+        """All q^dim members, first basis coefficient varying fastest.
+
+        The exhaustive predicates scan `projective_rows` instead, which keeps
+        one member of each projective class.
+        """
         for flat in self.element_rows(budget):
             yield self._unvec(flat)
 
     def element_rows(self, budget: int = DEFAULT_BUDGET) -> Iterator[list]:
+        """All q^dim members as row-major int lists mod p, in `elements` order:
+        member k takes the base-q digits of k, lowest first, as coefficients."""
         total = self.element_count()
         if total > budget:
             raise BudgetExceeded(total, budget)
-        F = self.field
-        q = F.cardinality
+        p = self.field.cardinality
         m = self.n * self.n
         d = self.dim
-        basis = [list(r) for r in self.rows]
+        basis = self.rows
         for k in range(total):
-            flat = [F.zero()] * m
+            flat = [0] * m
             kk = k
             for i in range(d):
-                c = kk % q
-                kk //= q
+                c = kk % p
+                kk //= p
                 if c:
-                    row = basis[i]
-                    flat = [F.add(x, F.mul(c, y)) for x, y in zip(flat, row)]
+                    flat = [(x + c * y) % p for x, y in zip(flat, basis[i])]
             yield flat
+
+    def projective_rows(self, budget: int = DEFAULT_BUDGET) -> Iterator[list]:
+        """The members of `element_rows` whose last nonzero coefficient is 1.
+
+        Member k is kept when the leading base-q digit of k is 1, that is
+        when q^j <= k < 2*q^j for some j: one member per projective class,
+        (q^dim - 1)/(q - 1) of them.  A nonzero member c*M (M kept, c != 1)
+        comes after M, so for a test that c*M passes exactly when M does the
+        first failing member of `element_rows` is a kept one.  The budget
+        check is that of `element_rows`, on all q^dim members.
+        """
+        q = self.field.cardinality
+        lead = 1  # q^j for the current k
+        for k, flat in enumerate(self.element_rows(budget)):
+            if k >= q * lead:
+                lead *= q
+            if lead <= k < 2 * lead:
+                yield flat
+
+    def projective_elements(self, budget: int = DEFAULT_BUDGET) -> Iterator[Matrix]:
+        """The members of `projective_rows`, as matrices."""
+        for flat in self.projective_rows(budget):
+            yield self._unvec(flat)
 
     def __repr__(self):
         return f"MatSpace(dim {self.dim} of Mat_{self.n}({self.field}))"

@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 
 from matspace import MatSpace, Matrix, Poly, Vector, char_poly, kernel_basis, min_poly
-from matspace.predicates import HOLDS, Verdict, non_isotropic, projective_points, spin
+from matspace.predicates import HOLDS, Verdict, projective_points, spin
 
 
 def det_oracle(M):
@@ -48,16 +48,21 @@ def eigenvalues_oracle(M):
     return out
 
 
-def rank_oracle(M):
-    """Row reduction written out locally (no echelon normalization needed)."""
-    F = M.field
-    rows = [list(r) for r in M.rows]
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < M.ncols:
+def rref_field_ops_oracle(F, rows):
+    """RREF written out locally on field methods; returns (rows, pivot columns).
+
+    This is the GF(p) elimination `rref_rows` ran before it moved to plain
+    ints mod p, so the two must agree entry for entry.
+    """
+    rows = [list(r) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(rows):
+            break
         pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
         if pivot is None:
-            col += 1
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         inv = F.inv(rows[rank][col])
@@ -66,9 +71,12 @@ def rank_oracle(M):
             if i != rank and rows[i][col] != 0:
                 f = rows[i][col]
                 rows[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+        pivots.append(col)
+    return rows, pivots
+
+
+def rank_oracle(M):
+    return len(rref_field_ops_oracle(M.field, M.rows)[1])
 
 
 def diagonalizable_oracle(M):
@@ -80,6 +88,16 @@ def diagonalizable_oracle(M):
         shifted = Matrix.identity(F, n) * lam - M
         total += n - rank_oracle(shifted)
     return total == n
+
+
+def diagonalizable_min_poly_oracle(M):
+    """GF(q): the minimal polynomial divides t^q - t, tested as t^q mod m == t mod m.
+
+    The test `is_diagonalizable` made before it compared M^q with M on ints.
+    """
+    m = min_poly(M)
+    t = Poly.x(M.field)
+    return Poly.pow_mod(t, M.field.cardinality, m) == t % m
 
 
 def irreducible_lines_oracle(V: MatSpace):
@@ -118,6 +136,65 @@ def irreducible_scan_oracle(V: MatSpace) -> Verdict:
         if not sub.is_full:
             return Verdict.fails(sub)
     return Verdict.holds()
+
+
+# -- full finite-field member scans ----------------------------------------------
+#
+# The exhaustive predicates as they were before they visited one member per
+# projective class: every member of V in enumeration order (first basis
+# coefficient varying fastest), every projective point for isotropy.
+
+
+def members_in_order(V: MatSpace):
+    """All q^dim members of V, first basis coefficient varying fastest."""
+    F = V.field
+    basis = V.basis()
+    for digits in itertools.product(range(F.cardinality), repeat=len(basis)):
+        coeffs = digits[::-1]
+        M = Matrix.zero(F, V.n)
+        for c, B in zip(coeffs, basis):
+            if c:
+                M = M + B * c
+        yield coeffs, M
+
+
+def projective_members_oracle(V: MatSpace) -> list:
+    """The members whose last nonzero basis coefficient is 1, in enumeration order."""
+    out = []
+    for coeffs, M in members_in_order(V):
+        nonzero = [c for c in coeffs if c]
+        if nonzero and nonzero[-1] == 1:
+            out.append(M)
+    return out
+
+
+def trivial_spectrum_scan_oracle(V: MatSpace) -> Verdict:
+    for _, M in members_in_order(V):
+        chi = char_poly(M)
+        for lam in range(1, V.field.cardinality):
+            if chi.eval(lam) == 0:
+                return Verdict.fails((M, lam))
+    return Verdict.holds()
+
+
+def all_diagonalizable_scan_oracle(V: MatSpace) -> Verdict:
+    for _, M in members_in_order(V):
+        if not diagonalizable_min_poly_oracle(M):
+            return Verdict.fails(M)
+    return Verdict.holds()
+
+
+def non_isotropic_scan_oracle(P) -> Verdict:
+    for x in projective_points(P.field, P.nrows):
+        if x.dot(P * x) == 0:
+            return Verdict.fails(x)
+    return Verdict.holds()
+
+
+def invertible_pick_oracle(space: MatSpace):
+    """The basis member, else the first member, of `space` that is invertible, or None."""
+    candidates = itertools.chain(space.basis(), (M for _, M in members_in_order(space)))
+    return next((M for M in candidates if rank_oracle(M) == space.n), None)
 
 
 def gaussian_binomial_oracle(m, d, q):
@@ -185,7 +262,7 @@ def alt_multiplier_oracle(space: MatSpace):
     for P in all_matrices(space.field, space.n):
         if det_oracle(P) == 0:
             continue
-        if non_isotropic(P).status == HOLDS and alt.transform(P, "left") == space:
+        if non_isotropic_scan_oracle(P).status == HOLDS and alt.transform(P, "left") == space:
             return P
     return None
 

@@ -21,14 +21,16 @@ from matspace import (
     rref,
 )
 from matspace.errors import FieldMismatch, ShapeMismatch, Singular
-from matspace.matrices import _simple_factor_mod
+from matspace.matrices import _simple_factor_mod, rref_rows
 
 from oracles import (
     det_oracle,
+    diagonalizable_min_poly_oracle,
     diagonalizable_oracle,
     eigenvalues_oracle,
     random_invertible,
     random_matrix,
+    rref_field_ops_oracle,
 )
 
 F2 = PrimeField(2)
@@ -60,6 +62,25 @@ def test_rref_is_idempotent_random():
             R, _, _ = rref(M)
             R2, _, _ = rref(R)
             assert R == R2
+
+
+@pytest.mark.parametrize("p", (2, 3, 101, 2**31 - 1))
+def test_rref_rows_on_ints_matches_field_op_reference(p):
+    F = PrimeField(p)
+    rng = random.Random(p)
+    cases = [[], [[]], [[0, 0, 0]], [[0], [0]]]
+    for _ in range(60):
+        m, k, w = rng.randint(1, 5), rng.randint(0, 4), rng.randint(1, 6)
+        # m x w of rank at most k, with zero rows and repeated rows mixed in
+        A = [[rng.randrange(p) for _ in range(k)] for _ in range(m)]
+        B = [[rng.randrange(p) for _ in range(w)] for _ in range(k)]
+        rows = [[sum(a * b for a, b in zip(r, col)) % p for col in zip(*B)] if B else [0] * w for r in A]
+        rows += rng.sample(rows, rng.randint(0, len(rows))) + [[0] * w] * rng.randint(0, 1)
+        rng.shuffle(rows)
+        cases.append(rows)
+        cases.append([[rng.randrange(p) for _ in range(w)] for _ in range(m)])
+    for rows in cases:
+        assert rref_rows(F, rows) == rref_field_ops_oracle(F, rows), rows
 
 
 def test_kernel_examples():
@@ -212,6 +233,25 @@ def test_is_diagonalizable_oracle_random():
             for _ in range(20):
                 M = random_matrix(field, n, rng)
                 assert is_diagonalizable(M) == diagonalizable_oracle(M)
+
+
+@pytest.mark.parametrize("p", (2, 3, 101, 2**31 - 1))
+def test_is_diagonalizable_on_ints_matches_the_min_poly_test(p):
+    F = PrimeField(p)
+    rng = random.Random(p)
+    seen = set()
+    for n in (1, 2, 3, 4):
+        for _ in range(10):
+            S = random_invertible(F, n, rng)
+            D = [rng.randrange(min(p, 4)) for _ in range(n)]
+            # D plus a 1 above each repeated diagonal pair: not diagonalizable then
+            J = Matrix(F, [[D[i] if j == i else int(j == i + 1 and D[i] == D[j]) for j in range(n)]
+                           for i in range(n)])
+            for M in (random_matrix(F, n, rng), S * Matrix.diagonal(F, D) * invert(S), S * J * invert(S)):
+                got = is_diagonalizable(M)
+                assert got == diagonalizable_min_poly_oracle(M), M
+                seen.add(got)
+    assert seen == {True, False}
 
 
 def monic_polys(field, d):

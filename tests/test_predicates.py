@@ -26,10 +26,13 @@ from matspace.matrices import _simple_factor_mod
 from matspace.predicates import FAILS, HOLDS, UNKNOWN, Verdict, _norton_holds
 
 from oracles import (
+    all_diagonalizable_scan_oracle,
     irreducible_lines_oracle,
     irreducible_scan_oracle,
+    non_isotropic_scan_oracle,
     random_invertible,
     random_space,
+    trivial_spectrum_scan_oracle,
 )
 
 F2 = PrimeField(2)
@@ -278,6 +281,17 @@ def test_irreducible_spins_at_most_twice_on_orth_of_conjugates(spins):
         assert spins[0] <= 2
 
 
+def test_irreducible_reducible_line_goes_straight_to_the_scan(spins):
+    # chi_a has a simple factor of degree < n, so <a> is reducible and no
+    # Norton spin precedes the scan, whose first start e_1 spans a stable line.
+    for field, n in ((F7, 2), (F3, 3), (F101, 2), (F5, 4)):
+        V = MatSpace.span([Matrix.diagonal(field, range(1, n + 1))])
+        spins[0] = 0
+        got = irreducible(V)
+        assert spins[0] == 1
+        assert got == irreducible_scan_oracle(V) and got.status == FAILS
+
+
 def test_irreducible_budget_still_bounds_the_scan_starts():
     # Norton needs two spins, but a budget below the 8 scan starts of
     # GF(7)^2 is still refused before any work.
@@ -386,6 +400,57 @@ def test_non_isotropic_finite_witness_reverifies():
                 x = v.witness
                 assert not x.is_zero
                 assert x.dot(P * x) == 0
+
+
+def member_scan_spaces(field, n, rng):
+    """A random, a conjugated diagonal and a conjugated nilpotent space, with q^dim small."""
+    q = field.p
+    k = rng.randint(1, 1 if q > 11 else 2 if q > 3 else 3)
+    S = random_invertible(field, n, rng)
+    diagonal = [Matrix.diagonal(field, [rng.randrange(q) for _ in range(n)]) for _ in range(k)]
+    upper = [
+        Matrix(field, [[rng.randrange(q) if j > i else 0 for j in range(n)] for i in range(n)])
+        for _ in range(k)
+    ]
+    yield random_space(field, n, rng, k)
+    yield MatSpace.span(diagonal).conjugate(S)
+    yield MatSpace.span(upper).conjugate(S)
+
+
+def test_member_predicates_match_the_full_scan():
+    # One member per projective class must give the verdict and the witness
+    # of the scan over every member.
+    rng = random.Random(66)
+    statuses = {}
+    for field in (F2, F3, F5, F7, F11, F101):
+        for n in (2, 3, 4):
+            for _ in range(3):
+                for V in member_scan_spaces(field, n, rng):
+                    for predicate, oracle in (
+                        (trivial_spectrum, trivial_spectrum_scan_oracle),
+                        (all_diagonalizable, all_diagonalizable_scan_oracle),
+                    ):
+                        got = predicate(V)
+                        assert got == oracle(V), (predicate.__name__, field, V.rows)
+                        key = (predicate.__name__, got.status)
+                        statuses[key] = statuses.get(key, 0) + 1
+    assert len(statuses) == 4 and min(statuses.values()) >= 40, statuses
+
+
+def test_non_isotropic_matches_the_projective_scan():
+    # Solving for the last coordinate must find the scan's first isotropic point.
+    rng = random.Random(67)
+    statuses = {HOLDS: 0, FAILS: 0}
+    for field in (F2, F3, F5, F7, F11, F101):
+        q = field.p
+        for n in (1, 2, 3, 4) if q <= 11 else (1, 2, 3):
+            for _ in range(8 if n <= 2 else 3):
+                P = Matrix(field, [[rng.randrange(q) for _ in range(n)] for _ in range(n)])
+                for form in (P, P + P.transpose(), Matrix.diagonal(field, [rng.randrange(q) for _ in range(n)])):
+                    got = non_isotropic(form)
+                    assert got == non_isotropic_scan_oracle(form), (field, form)
+                    statuses[got.status] += 1
+    assert min(statuses.values()) >= 40, statuses
 
 
 def test_verdicts_conjugation_invariant():

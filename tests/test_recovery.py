@@ -32,7 +32,7 @@ from matspace.predicates import FAILS, HOLDS, UNKNOWN
 from matspace.recovery import CONDITIONAL, FAILURE, PARTIAL, SUCCESS
 from matspace.serialize import canonical_json, recovery_report
 
-from oracles import random_invertible, random_space
+from oracles import invertible_pick_oracle, random_invertible, random_space
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -79,6 +79,30 @@ def test_symmetrizer_condition_is_linear():
         assert space.dim == 1
         for M in V.basis():
             assert (M * P).is_symmetric
+
+
+def test_symmetrizer_pick_matches_the_full_scan():
+    # The pick tries one member per projective class; it must return the
+    # basis member or the first member of the scan over every member.
+    rng = random.Random(31)
+    scanned = 0
+    for field in (F2, F3, PrimeField(5), F7):
+        for n in (2, 3):
+            for _ in range(12):
+                V = random_space(field, n, rng, rng.randint(0, n))
+                if rng.random() < 0.5:
+                    V = V + MatSpace.standard("diagonal", n, field).conjugate(random_invertible(field, n, rng))
+                space = V.multipliers(sym(n, field), "right")
+                if space.dim == 0 or field.p**space.dim > 5000:
+                    continue
+                expected = invertible_pick_oracle(space)
+                if expected is None:
+                    with pytest.raises(NoInvertibleSolution):
+                        solve_symmetrizer(V)
+                else:
+                    assert solve_symmetrizer(V) == (space, expected)
+                    scanned += expected not in space.basis()
+    assert scanned >= 10
 
 
 # -- congruence_diagonalize ------------------------------------------------------
@@ -432,7 +456,22 @@ FROZEN_FP_RECOVERY = {
     "gf101_conj2": "5ba5e483348fdb0788377530e5687f545e694eabbeb1585d54e42639c851bf7a",
     "gf7_conj4": "17b32e85296ceecf443a4e0a1638b88c9e97595c06caf94f87a9639388b996fd",
     "gf3_obstructed4": "908f2e4d0a2c90d7fbb8d52945ef54c2cea3f21c56c489359f39f9627aae41f1",
+    # Taken from the code that scanned every member of V-perp and every
+    # projective point for isotropy.  gf101_obstructed2: orth trivial spectrum
+    # holds over all 101 members.  The V-perp of gf7_conj2 is a line with an
+    # irreducible char poly (Norton proves it); that of gf7_obstructed2 is a
+    # line whose char poly splits, so it goes straight to the scan, and its
+    # trivial spectrum and isotropy stages fail with witnesses.
+    "gf101_obstructed2": "9b386a3e903f61d3f707913d929850139e0bf082bf3be3631f487c9a1f58bdf8",
+    "gf7_conj2": "d636c1ffc18dacd24c3f3ab6eace5eecb80efcdd0b6ab3ce54c9add4d462a7c0",
+    "gf7_obstructed2": "beb550a52f539fedcea88051aef0ac9f694a66c82c0355a8f9075170cad873bf",
 }
+
+
+def obstructed2(F, T, nu):
+    """Sym_2 * P^-1 with P = T * diag(1, nu) * T^T, so disc(P) is the non-square nu."""
+    T = Matrix(F, T)
+    return sym(2, F).transform(invert(T * Matrix.diagonal(F, [1, nu]) * T.transpose()), "right")
 
 
 def frozen_fp_input(name):
@@ -442,6 +481,12 @@ def frozen_fp_input(name):
     if name == "gf101_conj2":
         F = PrimeField(101)
         return sym(2, F).conjugate(Matrix(F, [[2, 7], [1, 8]]))
+    if name == "gf101_obstructed2":
+        return obstructed2(PrimeField(101), [[3, 8], [5, 1]], 2)
+    if name == "gf7_obstructed2":
+        return obstructed2(F7, [[1, 2], [3, 1]], 3)
+    if name == "gf7_conj2":
+        return sym(2, F7).conjugate(Matrix(F7, [[3, 5], [1, 2]]))
     if name == "gf7_conj4":
         S = Matrix(F7, [[1, 2, 0, 3], [0, 1, 4, 1], [5, 0, 1, 2], [1, 1, 1, 0]])
         return sym(4, F7).conjugate(S)

@@ -15,6 +15,7 @@ from matspace.errors import (
 from oracles import (
     members_oracle,
     multipliers_oracle,
+    projective_members_oracle,
     random_invertible,
     random_matrix,
     random_space,
@@ -22,6 +23,7 @@ from oracles import (
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
+F5 = PrimeField(5)
 F7 = PrimeField(7)
 Q = RationalField()
 ALL_FIELDS = (F2, F3, F7, Q)
@@ -230,6 +232,28 @@ def test_elements_order_first_coefficient_fastest():
     assert elems[2] == basis[0] * 2
     assert elems[3] == basis[1]
     assert elems[4] == basis[0] + basis[1]
+
+
+@pytest.mark.parametrize("field", (F2, F3, F5))
+def test_projective_rows_keep_last_nonzero_coefficient_one(field):
+    rng = random.Random(17)
+    q = field.cardinality
+    for n in (1, 2):
+        for k in range(4):
+            V = random_space(field, n, rng, k)
+            kept = list(V.projective_elements())
+            assert kept == projective_members_oracle(V)
+            assert len(kept) == (q**V.dim - 1) // (q - 1)
+            # one member per projective class: no kept member is a multiple of another
+            lines = {frozenset(M.vec() for M in (K * c for c in range(1, q))) for K in kept}
+            assert len(lines) == len(kept)
+
+
+def test_projective_rows_budget_counts_every_member():
+    sym = MatSpace.standard("sym", 2, F3)  # 27 members, 13 kept
+    with pytest.raises(BudgetExceeded):
+        next(sym.projective_rows(budget=26))
+    assert len(list(sym.projective_rows(budget=27))) == 13
 
 
 def test_canonical_equality_independent_of_generators():
