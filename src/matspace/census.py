@@ -260,6 +260,10 @@ def census(
         raise InvalidInput(f"worker count {workers} must be at least 1")
     if witness_limit < 0:
         raise InvalidInput(f"witness limit {witness_limit} must not be negative")
+    if budget < 0:
+        raise InvalidInput(f"budget {budget} must not be negative")
+    if cap < 0:
+        raise InvalidInput(f"cap {cap} must not be negative")
     if engine not in (None, "bits", "generic"):
         raise InvalidInput(f"unknown census engine {engine!r}")
     total = _gate(n, q, d, cap, heavy)

@@ -44,6 +44,14 @@ EXIT_UNKNOWN = 3
 EXIT_BUDGET = 4
 
 
+def _nonnegative(text: str) -> int:
+    """argparse type of --budget and --cap: a negative bound is an input error."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} must not be negative")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matspace",
@@ -56,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_input:
             p.add_argument("--input", required=True, help="path to JSON input")
         p.add_argument("--field", help="ground field: gf<p> or rational")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+        p.add_argument("--budget", type=_nonnegative, default=DEFAULT_BUDGET)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output", help="also write the report to this path")
 
@@ -72,8 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cen.add_argument("--q", type=int, required=True)
     p_cen.add_argument("--d", type=int)
     p_cen.add_argument("--pred", help="comma list: diag, trivspec, irred")
-    p_cen.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p_cen.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p_cen.add_argument("--budget", type=_nonnegative, default=DEFAULT_BUDGET)
+    p_cen.add_argument("--cap", type=_nonnegative, default=DEFAULT_CAP)
     p_cen.add_argument("--workers", type=int, default=1)
     p_cen.add_argument("--heavy", action="store_true")
     p_cen.add_argument("--witness-limit", type=int, default=5)

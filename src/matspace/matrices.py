@@ -1,16 +1,21 @@
 """Dense exact matrices and column vectors over one field.
 
-Provides elimination (RREF, kernels, inverses), the division-free Berkowitz
-characteristic polynomial, Krylov minimal polynomials, and eigenvalue /
-diagonalizability tests over the ground field.  All operations are pure and
-matrices are immutable, so values can be shared freely.
+Provides elimination (RREF, kernels, inverses), characteristic and Krylov
+minimal polynomials, and eigenvalue / diagonalizability tests over the
+ground field.  All operations are pure and matrices are immutable, so values
+can be shared freely.
 
-Over Q, eigenvalues come from Berkowitz run on plain ints (the matrix times
-the lcm of its denominators) and one integer root finder: a small-prime
-sieve, then Hensel lifting of the roots modulo a prime.  Over GF(p),
-elimination and the diagonalizability test (M^p = M) run on plain ints mod
-p, and small helpers on int coefficient lists find an irreducible factor of
-multiplicity 1 of a char poly, for the irreducibility test.
+Char polys come from one division-free Berkowitz on plain ints
+(`char_poly_rows`): over GF(p) on the canonical residues, reduced mod p;
+over Q on L*M, L the lcm of the denominators.  Over GF(p) elimination and
+the diagonalizability test (M^p = M) run on plain ints mod p, and small
+helpers on int coefficient lists compute gcds and powers, find the roots
+(`_roots_mod`: a scan up to SCAN_LIMIT, gcd with t^p - t and seeded
+splitting above it) and find an irreducible factor of multiplicity 1, for
+the irreducibility test.  Over Q, eigenvalues are the integer roots of L*M's
+char poly divided by L, from a small-prime sieve and Hensel lifting modulo
+a prime, and M is diagonalizable when the product of L*M - rI over those
+roots r is zero.
 """
 
 from __future__ import annotations
@@ -18,14 +23,15 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import FieldMismatch, ShapeMismatch, Singular
 from .fields import Field, PrimeField, RationalField, Scalar, is_prime
 from .polys import Poly
 
-# Exhaustive field scans (eigenvalue extraction, sqrt cross-checks) are only
-# allowed up to this cardinality; larger fields use the gcd/splitting path.
+# Root finding mod p scans every residue only up to this prime; larger
+# primes use the gcd/splitting path.
 SCAN_LIMIT = 10**4
 
 
@@ -338,11 +344,6 @@ def rref(M: Matrix) -> tuple[Matrix, int, list[int]]:
     return Matrix(M.field, rows), len(pivots), pivots
 
 
-def rref_rows_generic(field: Field, rows: list) -> tuple[list, list[int]]:
-    """Generic-path RREF, bypassing the packed GF(2) fast path (for parity tests)."""
-    return rref_rows(field, rows)
-
-
 def kernel_rows(field: Field, rows: list, ncols: int) -> list[list]:
     """Basis of the right kernel in RREF-derived canonical form."""
     red, pivots = rref_rows(field, rows)
@@ -401,89 +402,65 @@ def det(M: Matrix) -> Scalar:
 # -- characteristic and minimal polynomials ---------------------------------
 
 
-class _IntegerRing:
-    """The ring Z with the operations Berkowitz uses, so that it runs on ints."""
+def char_poly_rows(rows: list, p: int = 0) -> list[int]:
+    """Coefficients of det(tI - M), low degree first, for an int matrix M.
 
-    def zero(self) -> int:
-        return 0
-
-    def one(self) -> int:
-        return 1
-
-    def add(self, a: int, b: int) -> int:
-        return a + b
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b
-
-    def neg(self, a: int) -> int:
-        return -a
-
-
-INTEGERS = _IntegerRing()
-
-
-def _berkowitz(field: Field, rows: list) -> list:
-    """Coefficients of det(tI - M), highest degree first, by the division-free
-    Berkowitz iteration on leading principal submatrices."""
-    n = len(rows)
-    if n == 0:
-        return [field.one()]
-    F = field
-    if n == 1:
-        return [F.one(), F.neg(rows[0][0])]
-    a = rows[0][0]
-    R = rows[0][1:]
-    C = [rows[i][0] for i in range(1, n)]
-    sub = [r[1:] for r in rows[1:]]
-    p = _berkowitz(field, sub)  # length n
-    # Toeplitz column: 1, -a, -(R C), -(R M C), ...
-    col = [F.one(), F.neg(a)]
-    w = C
-    for k in range(2, n + 1):
-        s = F.zero()
-        for x, y in zip(R, w):
-            if x != 0 and y != 0:
-                s = F.add(s, F.mul(x, y))
-        col.append(F.neg(s))
-        if k < n:
-            w = [
-                _dot(F, sub_row, w)
-                for sub_row in sub
-            ]
-    out = []
-    for i in range(n + 1):
-        s = F.zero()
-        lo = max(0, i - (len(col) - 1))
-        for j in range(lo, min(i, n - 1) + 1):
-            c = col[i - j]
-            if c != 0 and p[j] != 0:
-                s = F.add(s, F.mul(c, p[j]))
-        out.append(s)
-    return out
-
-
-def _dot(field: Field, xs, ys) -> Scalar:
-    s = field.zero()
-    for x, y in zip(xs, ys):
-        if x != 0 and y != 0:
-            s = field.add(s, field.mul(x, y))
-    return s
-
-
-def char_poly_rows(field: Field, rows: list) -> list:
-    """Characteristic polynomial coefficients, low degree first.
-
-    `field` may also be INTEGERS, for an integer matrix.
+    The division-free Berkowitz iteration, on plain ints: the char poly of
+    each trailing principal submatrix is extended by one row and column,
+    from the bottom-right corner up.  With p != 0 the coefficients are
+    reduced mod p at the end.
     """
-    hi_first = _berkowitz(field, rows)
-    return hi_first[::-1]
+    n = len(rows)
+    chi = [1]  # char poly of the trailing block, highest degree first
+    for k in range(n - 1, -1, -1):
+        # The block [[a, R], [C, S]] starting at (k, k) has the Toeplitz
+        # column 1, -a, -(R C), -(R S C), ...
+        m = n - k
+        R = rows[k][k + 1 :]
+        sub = [r[k + 1 :] for r in rows[k + 1 :]]
+        col = [1, -rows[k][k]]
+        w = [r[k] for r in rows[k + 1 :]]  # C, then S C, S^2 C, ...
+        for j in range(2, m + 1):
+            s = 0
+            for x, y in zip(R, w):
+                if x and y:
+                    s += x * y
+            col.append(-s)
+            if j < m:
+                nw = []
+                for sub_row in sub:
+                    s = 0
+                    for x, y in zip(sub_row, w):
+                        if x and y:
+                            s += x * y
+                    nw.append(s)
+                w = nw
+        out = []
+        for i in range(m + 1):
+            s = 0
+            for j in range(min(i, m - 1) + 1):
+                c, d = col[i - j], chi[j]
+                if c and d:
+                    s += c * d
+            out.append(s)
+        chi = out
+    chi.reverse()
+    return [c % p for c in chi] if p else chi
 
 
 def char_poly(M: Matrix) -> Poly:
-    """Monic characteristic polynomial det(tI - M)."""
+    """Monic characteristic polynomial det(tI - M).
+
+    Over Q, Berkowitz runs on the integer matrix L*M (L the lcm of the
+    denominators), and the coefficient of t^i is divided by L^(n-i).
+    """
     M._need_square()
-    return Poly(M.field, char_poly_rows(M.field, [list(r) for r in M.rows]))
+    F = M.field
+    if F.is_finite:
+        return Poly(F, char_poly_rows(M.rows, F.cardinality))
+    L, rows = clear_denominators(M.rows)
+    n = M.nrows
+    return Poly(F, [Fraction(c, L ** (n - i)) for i, c in enumerate(char_poly_rows(rows))])
 
 
 def min_poly(M: Matrix) -> Poly:
@@ -509,81 +486,31 @@ def min_poly(M: Matrix) -> Poly:
 # -- eigenvalues and diagonalizability ---------------------------------------
 
 
-def _linear_factor_part(chi: Poly, q: int) -> Poly:
-    """gcd(chi, t^q - t): the product of chi's distinct linear factors over GF(q)."""
-    F = chi.field
-    t = Poly.x(F)
-    tq = Poly.pow_mod(t, q, chi)
-    return Poly.gcd(chi, tq - t)
-
-
-def _split_roots(g: Poly, rng: random.Random) -> list:
-    """Roots of a monic squarefree polynomial that splits into linear factors.
-
-    Random quadratic-residue shifts separate the roots; the caller fixes the
-    seed so the recursion (and the output order after sorting) is deterministic.
-    """
-    F = g.field
-    q = F.cardinality
-    if g.degree <= 0:
-        return []
-    if g.degree == 1:
-        return [F.neg(g.coeffs[0])]
-    t = Poly.x(F)
-    while True:
-        s = rng.randrange(q)
-        shifted = Poly(F, [s, F.one()])
-        h = Poly.pow_mod(shifted, (q - 1) // 2, g) - Poly.one(F)
-        d = Poly.gcd(g, h)
-        if 0 < d.degree < g.degree:
-            return _split_roots(d, rng) + _split_roots(g // d, rng)
-
-
 def eigenvalues_in_field(M: Matrix) -> list:
-    """Distinct roots of the characteristic polynomial lying in the ground field.
+    """Distinct roots of the characteristic polynomial lying in the ground field, ascending.
 
-    Finite fields: gcd with t^q - t isolates the split part, whose roots are
-    extracted by a full field scan when q <= 10^4 (with a degree cross-check
-    against the gcd) and by seeded root splitting beyond that.  Rationals:
-    Berkowitz on the integer matrix L*M (L the lcm of the denominators), whose
-    integer roots are L times the rational eigenvalues.
+    GF(p): `_roots_mod` on the int char poly, with its count checked against
+    deg gcd(chi, t^p - t).  Rationals: Berkowitz on the integer matrix L*M
+    (L the lcm of the denominators), whose integer roots are L times the
+    rational eigenvalues.
     """
     M._need_square()
     F = M.field
     if F.is_finite:
-        chi = char_poly(M)
-        g = _linear_factor_part(chi, F.cardinality)
-        if g.degree <= 0:
-            return []
-        if F.cardinality <= SCAN_LIMIT:
-            roots = [x for x in F.elements() if chi.eval(x) == 0]
-            if len(roots) != g.degree:
-                raise AssertionError("scan and gcd eigenvalue paths disagree")
-        else:
-            roots = sorted(_split_roots(g, random.Random(0)))
+        p = F.cardinality
+        chi = char_poly_rows(M.rows, p)
+        roots = _roots_mod(chi, p)
+        if len(roots) != len(_linear_part_mod(chi, p)) - 1:
+            raise AssertionError("root finder and gcd eigenvalue counts disagree")
         return roots
     L, rows = clear_denominators(M.rows)
-    return [Fraction(r, L) for r in _integer_roots(char_poly_rows(INTEGERS, rows))]
+    return [Fraction(r, L) for r in _integer_roots(char_poly_rows(rows))]
 
 
 def clear_denominators(rows) -> tuple[int, list[list[int]]]:
     """L, the lcm of every entry's denominator, and the integer rows of L * rows."""
     L = lcm(*(x.denominator for r in rows for x in r))
     return L, [[x.numerator * (L // x.denominator) for x in r] for r in rows]
-
-
-def _rational_roots(chi: Poly) -> list:
-    """Distinct rational roots of a monic polynomial over Q, ascending.
-
-    With D the lcm of the denominators, D^d * chi(s/D) is monic over Z and
-    its integer roots are D times those of chi.
-    """
-    d = chi.degree
-    if d <= 0:
-        return []
-    D = lcm(*(c.denominator for c in chi.coeffs))
-    g = [c.numerator * (D ** (d - i) // c.denominator) for i, c in enumerate(chi.coeffs)]
-    return [Fraction(r, D) for r in _integer_roots(g)]
 
 
 # A polynomial without a root modulo one of these has no nonzero integer root.
@@ -609,7 +536,7 @@ def _integer_roots(g: list[int]) -> list[int]:
     h = _squarefree_part(g)
     bound = 1 + max(abs(c) for c in h[:-1])
     p = _separable_prime(h)
-    dh = [i * c for i, c in enumerate(h)][1:]
+    dh = _derivative(h)
     lifted, m = _roots_mod(h, p), p
     while m <= 2 * bound:
         # Newton step: a root mod m becomes the unique root mod m^2 above it.
@@ -626,17 +553,26 @@ def _horner(g: list[int], x: int) -> int:
     return out
 
 
-def _roots_mod(g: list[int], p: int) -> list[int]:
-    """Roots of g modulo p, by a scan of all residues."""
-    gp = [c % p for c in reversed(g)]
-    out = []
-    for x in range(p):
-        v = 0
-        for c in gp:
-            v = (v * x + c) % p
-        if v == 0:
-            out.append(x)
-    return out
+def _derivative(g: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(g)][1:]
+
+
+def _squarefree_part(g: list[int]) -> list[int]:
+    """g / gcd(g, g'), monic over Z by Gauss's lemma."""
+    G = Poly(RationalField(), g)
+    d = Poly.gcd(G, G.derivative())
+    return g if d.degree == 0 else [c.numerator for c in (G // d).coeffs]
+
+
+def _separable_prime(h: list[int]) -> int:
+    """The smallest prime modulo which the squarefree monic h stays squarefree."""
+    p = 2
+    while True:
+        if is_prime(p):
+            dh = _trim([c % p for c in _derivative(h)])
+            if dh and len(_gcd_mod([c % p for c in h], dh, p)) == 1:
+                return p
+        p += 1
 
 
 # Polynomials over GF(p) as plain int lists, low degree first, canonical
@@ -682,6 +618,59 @@ def _mulmod_mod(f: list[int], g: list[int], m: list[int], p: int) -> list[int]:
     return _divmod_mod([c % p for c in out], m, p)[1]
 
 
+def _powmod_mod(f: list[int], e: int, m: list[int], p: int) -> list[int]:
+    """f^e reduced modulo m over GF(p), for e >= 1, by square-and-multiply."""
+    base, out = f, [1]
+    while e:
+        if e & 1:
+            out = _mulmod_mod(out, base, m, p)
+        base = _mulmod_mod(base, base, m, p)
+        e >>= 1
+    return out
+
+
+def _minus_t(f: list[int], p: int) -> list[int]:
+    """f - t over GF(p)."""
+    f = f + [0] * (2 - len(f))
+    f[1] = (f[1] - 1) % p
+    return _trim(f)
+
+
+def _linear_part_mod(f: list[int], p: int) -> list[int]:
+    """gcd(f, t^p - t) for a monic f over GF(p): the product of its distinct linear factors."""
+    return _gcd_mod(f, _minus_t(_powmod_mod([0, 1], p, f, p), p), p)
+
+
+def _roots_mod(g: list[int], p: int) -> list[int]:
+    """Distinct roots, ascending, modulo p of an integer polynomial g, monic mod p.
+
+    A scan of all residues when p <= SCAN_LIMIT.  Above it, the roots of
+    gcd(g, t^p - t) are split apart by gcd with (t + s)^((p-1)/2) - 1 for
+    seeded shifts s.
+    """
+    if p <= SCAN_LIMIT:
+        gp = [c % p for c in reversed(g)]
+        out = []
+        for x in range(p):
+            v = 0
+            for c in gp:
+                v = (v * x + c) % p
+            if v == 0:
+                out.append(x)
+        return out
+    rng = random.Random(0)
+    parts, roots = [_linear_part_mod([c % p for c in g], p)], []
+    while parts:
+        f = parts.pop()
+        if len(f) == 2:
+            roots.append(-f[0] % p)
+        elif len(f) > 2:
+            h = _powmod_mod([rng.randrange(p), 1], (p - 1) // 2, f, p)
+            d = _gcd_mod(f, _trim([(h[0] - 1) % p] + h[1:]) if h else [p - 1], p)
+            parts += [d, _divmod_mod(f, d, p)[0]] if 1 < len(d) < len(f) else [f]
+    return sorted(roots)
+
+
 def _simple_factor_mod(f: list[int], p: int) -> list[int] | None:
     """A monic irreducible factor of multiplicity 1 of the monic f over GF(p), or None.
 
@@ -692,7 +681,7 @@ def _simple_factor_mod(f: list[int], p: int) -> list[int] | None:
     r when p <= SCAN_LIMIT; any other part of several factors of one degree
     is divided out.
     """
-    g = _gcd_mod(f, _trim([i * c % p for i, c in enumerate(f)][1:]), p)
+    g = _gcd_mod(f, _trim([c % p for c in _derivative(f)]), p)
     r = _divmod_mod(f, g, p)[0]
     u = _divmod_mod(r, _gcd_mod(r, g, p), p)[0]
     h, d = [0, 1], 0  # h = t^(p^d) mod u
@@ -700,13 +689,8 @@ def _simple_factor_mod(f: list[int], p: int) -> list[int] | None:
         d += 1
         if 2 * d > len(u) - 1:
             return u  # every factor of degree below d is gone
-        base, e, h = h, p, [1]
-        while e:
-            if e & 1:
-                h = _mulmod_mod(h, base, u, p)
-            base = _mulmod_mod(base, base, u, p)
-            e >>= 1
-        part = _gcd_mod(u, _trim([(c - (i == 1)) % p for i, c in enumerate(h + [0, 0])]), p)
+        h = _powmod_mod(h, p, u, p)
+        part = _gcd_mod(u, _minus_t(h, p), p)
         if len(part) - 1 == d:
             return part
         if d == 1 and len(part) > 2 and p <= SCAN_LIMIT:
@@ -717,24 +701,6 @@ def _simple_factor_mod(f: list[int], p: int) -> list[int] | None:
     return None
 
 
-def _squarefree_part(g: list[int]) -> list[int]:
-    """g / gcd(g, g'), monic over Z by Gauss's lemma."""
-    G = Poly(RationalField(), g)
-    d = Poly.gcd(G, G.derivative())
-    return g if d.degree == 0 else [c.numerator for c in (G // d).coeffs]
-
-
-def _separable_prime(h: list[int]) -> int:
-    """The smallest prime modulo which the squarefree monic h stays squarefree."""
-    p = 2
-    while True:
-        if is_prime(p):
-            H = Poly(PrimeField(p), h)
-            if Poly.gcd(H, H.derivative()).degree == 0:
-                return p
-        p += 1
-
-
 def _matmul_mod(A: list, B: list, p: int) -> list:
     cols = list(zip(*B))
     return [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in A]
@@ -743,10 +709,11 @@ def _matmul_mod(A: list, B: list, p: int) -> list:
 def is_diagonalizable(M: Matrix) -> bool:
     """Whether M is diagonalizable over its own ground field.
 
-    Finite field GF(p): M^p = M, that is the minimal polynomial divides
-    t^p - t (squarefree and split), with M^p by repeated squaring on plain
-    ints mod p.  Rationals: squarefree minimal polynomial whose rational
-    linear factors exhaust it.
+    GF(p): M^p = M, that is the minimal polynomial divides t^p - t
+    (squarefree and split), with M^p by repeated squaring on plain ints mod
+    p.  Rationals: with A = L*M the integer matrix (L the lcm of the
+    denominators), M is diagonalizable over Q exactly when the product of
+    A - rI over the distinct integer roots r of A's char poly is zero.
     """
     M._need_square()
     F = M.field
@@ -763,7 +730,10 @@ def is_diagonalizable(M: Matrix) -> bool:
             if e:
                 base = _matmul_mod(base, base, p)
         return power == rows
-    m = min_poly(M)
-    if Poly.gcd(m, m.derivative()).degree != 0:
-        return False
-    return len(_rational_roots(m)) == m.degree
+    _, A = clear_denominators(M.rows)
+    cols = list(zip(*A))
+    P = [[int(i == j) for j in range(M.nrows)] for i in range(M.nrows)]
+    for r in _integer_roots(char_poly_rows(A)):
+        # P (A - rI) = P A - r P
+        P = [[sum(map(mul, row, col)) - r * row[j] for j, col in enumerate(cols)] for row in P]
+    return not any(map(any, P))

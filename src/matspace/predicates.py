@@ -9,6 +9,8 @@ each member, so they test one member per projective class
 (`MatSpace.projective_rows`), on plain ints mod p, and still return the first
 failing member of the full enumeration; `non_isotropic` solves for the last
 coordinate of each projective point instead of trying its q values.
+Eigenvalues over GF(p) come from the int char poly (`char_poly_rows`) and the
+one root finder `matrices._roots_mod`.
 Over the rationals, irreducibility and isotropy are three-valued: Unknown is
 an honest answer and is never silently converted.
 
@@ -16,8 +18,9 @@ The rational branches of `trivial_spectrum`, `all_diagonalizable` and the
 kernel starts of `irreducible` share one sampler: the basis, then seeded
 integer combinations, each projective class tested once.  They work on the
 integer matrix L*M (L the lcm of the basis denominators): char polys come
-from Berkowitz over the integers, eigenvalues from a sieve + Hensel integer
-root finder, and a Fraction matrix is built only for a witness.
+from the same int Berkowitz, eigenvalues from a sieve + Hensel integer root
+finder, diagonalizability from a product of shifted integer matrices, and a
+Fraction matrix is built only for a witness.
 """
 
 from __future__ import annotations
@@ -32,12 +35,11 @@ from typing import Iterator
 from .errors import BudgetExceeded, ZeroVector
 from .fields import Field, Scalar
 from .matrices import (
-    INTEGERS,
     Matrix,
     Vector,
-    _horner,
     _integer_roots,
     _matmul_mod,
+    _roots_mod,
     _simple_factor_mod,
     char_poly_rows,
     clear_denominators,
@@ -169,7 +171,7 @@ def _norton_holds(V: MatSpace) -> bool:
     F, n, p = V.field, V.n, V.field.cardinality
     for flat in V.rows:
         a = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
-        f = _simple_factor_mod(char_poly_rows(F, a), p)
+        f = _simple_factor_mod(char_poly_rows(a, p), p)
         if f is None:
             continue
         if V.dim == 1 and len(f) <= n:
@@ -249,19 +251,15 @@ def all_diagonalizable(V: MatSpace, budget: int = DEFAULT_BUDGET, seed: int = 0)
     return Verdict.unknown("infinite field: sampled members only")
 
 
-def _least_nonzero_root(chi: list[int], p: int) -> int:
-    """The least lam in 1..p-1 with chi(lam) = 0 mod p, or 0 when there is none."""
-    return next((lam for lam in range(1, p) if _horner(chi, lam) % p == 0), 0)
-
-
 def trivial_spectrum(V: MatSpace, budget: int = DEFAULT_BUDGET, seed: int = 0) -> Verdict:
     """No member of V has a nonzero eigenvalue in the ground field.
 
     A Fails witness is the pair (member, nonzero eigenvalue).  Over GF(p),
     c*M has a nonzero eigenvalue exactly when M does, so one member per
     projective class is tested (the budget still bounds all p^dim members):
-    its char poly comes from Berkowitz on plain ints, and the witness
-    eigenvalue is its least nonzero root, found by a Horner scan mod p.
+    its char poly comes from Berkowitz on plain ints mod p, and the witness
+    eigenvalue is the least nonzero root from `_roots_mod` (a scan of the
+    residues up to SCAN_LIMIT, gcd with t^p - t and splitting above it).
     Over the rationals the basis plus seeded samples are tested; a clean
     pass is reported as Unknown("sampled"), never Holds.
     """
@@ -273,14 +271,14 @@ def trivial_spectrum(V: MatSpace, budget: int = DEFAULT_BUDGET, seed: int = 0) -
         p, n = F.cardinality, V.n
         for flat in V.projective_rows(budget):
             rows = [flat[i * n : (i + 1) * n] for i in range(n)]
-            lam = _least_nonzero_root(char_poly_rows(INTEGERS, rows), p)
+            lam = next((r for r in _roots_mod(char_poly_rows(rows, p), p) if r), 0)
             if lam:
                 return Verdict.fails((Matrix(F, rows), lam))
         return Verdict.holds()
     L, basis = clear_denominators(V.rows)
     for A in _integer_members(V.n, basis, _samples(V.dim, seed, _Q_SAMPLE_TRIVIAL)):
         # The integer roots of L*M's char poly are L times M's rational eigenvalues.
-        lam = next((r for r in _integer_roots(char_poly_rows(INTEGERS, A)) if r), 0)
+        lam = next((r for r in _integer_roots(char_poly_rows(A)) if r), 0)
         if lam:
             return Verdict.fails((_unscaled(F, A, L), Fraction(lam, L)))
     return Verdict.unknown("infinite field: sampled members only")

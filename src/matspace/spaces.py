@@ -20,8 +20,8 @@ from .errors import (
     ShapeMismatch,
     Singular,
 )
-from .fields import Field
-from .matrices import Matrix, Vector, _dot, invert, kernel_rows, rref_rows
+from .fields import Field, Scalar
+from .matrices import Matrix, Vector, invert, kernel_rows, rref_rows
 
 DEFAULT_BUDGET = 10**7
 
@@ -41,6 +41,14 @@ def _annihilator(field: Field, n: int, flats: Sequence[Sequence]) -> "MatSpace":
     """
     rows = [[C[j * n + i] for i in range(n) for j in range(n)] for C in flats]
     return MatSpace(field, n, _canonical(field, kernel_rows(field, rows, n * n)))
+
+
+def _dot(field: Field, xs, ys) -> Scalar:
+    s = field.zero()
+    for x, y in zip(xs, ys):
+        if x != 0 and y != 0:
+            s = field.add(s, field.mul(x, y))
+    return s
 
 
 def _flat_product(field: Field, n: int, X: Sequence, Y: Sequence) -> list:

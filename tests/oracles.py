@@ -379,3 +379,75 @@ def irreducible_q_oracle(V: MatSpace, seed: int = 0) -> Verdict:
         if not sub.is_full:
             return Verdict.fails(sub)
     return Verdict.unknown("infinite field: irreducibility not decided")
+
+
+# -- field-generic char poly and GF(p) root references ----------------------------
+#
+# The char-poly and root paths as they were before they moved to plain ints:
+# Berkowitz on field methods, root splitting with `Poly` gcds and powers, and
+# the Horner scan for the least nonzero root.
+
+
+def berkowitz_oracle(field, rows) -> list:
+    """Coefficients of det(tI - M), low degree first, by recursive Berkowitz on field methods."""
+    return _berkowitz_hi_first(field, [list(r) for r in rows])[::-1]
+
+
+def _berkowitz_hi_first(F, rows) -> list:
+    n = len(rows)
+    if n == 0:
+        return [F.one()]
+    a, R, C = rows[0][0], rows[0][1:], [r[0] for r in rows[1:]]
+    sub = [r[1:] for r in rows[1:]]
+    p = _berkowitz_hi_first(F, sub)
+    col = [F.one(), F.neg(a)]
+    w = C
+    for k in range(2, n + 1):
+        s = F.zero()
+        for x, y in zip(R, w):
+            s = F.add(s, F.mul(x, y))
+        col.append(F.neg(s))
+        w = [functools.reduce(F.add, (F.mul(x, y) for x, y in zip(r, w)), F.zero()) for r in sub]
+    out = []
+    for i in range(n + 1):
+        s = F.zero()
+        for j in range(min(i, n - 1) + 1):
+            s = F.add(s, F.mul(col[i - j], p[j]))
+        out.append(s)
+    return out
+
+
+def split_roots_oracle(g, rng: random.Random) -> list:
+    """Roots of a monic squarefree `Poly` over GF(q) that splits into linear factors,
+    by gcds with (t + s)^((q-1)/2) - 1 for random shifts s."""
+    F = g.field
+    q = F.cardinality
+    if g.degree <= 0:
+        return []
+    if g.degree == 1:
+        return [F.neg(g.coeffs[0])]
+    while True:
+        shifted = Poly(F, [rng.randrange(q), F.one()])
+        d = Poly.gcd(g, Poly.pow_mod(shifted, (q - 1) // 2, g) - Poly.one(F))
+        if 0 < d.degree < g.degree:
+            return split_roots_oracle(d, rng) + split_roots_oracle(g // d, rng)
+
+
+def eigenvalues_split_oracle(M) -> list:
+    """GF(q) eigenvalues, ascending: roots of gcd(chi, t^q - t), split with `Poly` arithmetic."""
+    F = M.field
+    chi = Poly(F, berkowitz_oracle(F, M.rows))
+    t = Poly.x(F)
+    g = Poly.gcd(chi, Poly.pow_mod(t, F.cardinality, chi) - t)
+    return sorted(split_roots_oracle(g, random.Random(0)))
+
+
+def least_nonzero_root_oracle(chi: list, p: int) -> int:
+    """The least lam in 1..p-1 with chi(lam) = 0 mod p, or 0, by a Horner scan."""
+    for lam in range(1, p):
+        v = 0
+        for c in reversed(chi):
+            v = v * lam + c
+        if v % p == 0:
+            return lam
+    return 0

@@ -191,10 +191,39 @@ def test_census_bad_size_exit2(capsys, argv):
         ["--workers", "0"],
         ["--workers", "-4"],
         ["--witness-limit", "-1"],
+        ["--budget", "-1"],
+        ["--cap", "-1"],
     ],
 )
 def test_census_bad_count_exit2(capsys, argv):
     code, _ = run(capsys, "census", "--n", "2", "--q", "2", "--d", "1", "--pred", "diag", *argv)
+    assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--budget", "-1"],
+        ["recover", "--budget", "-1"],
+        ["census", "--task", "maxdim", "--n", "2", "--q", "2", "--cap", "-1"],
+        ["census", "--task", "classify", "--n", "2", "--q", "2", "--budget", "-1"],
+    ],
+)
+def test_negative_budget_or_cap_exit2(capsys, sym3_path, argv):
+    if argv[0] != "census":
+        argv = [argv[0], "--input", sym3_path, *argv[1:]]
+    code, _ = run(capsys, *argv)
+    assert code == 2
+
+
+@pytest.mark.parametrize("key", ["budget", "cap"])
+def test_verify_rejects_negative_census_bounds(capsys, tmp_path, key):
+    out = str(tmp_path / "census.json")
+    run(capsys, "census", "--n", "2", "--q", "2", "--d", "1", "--pred", "diag", "--output", out)
+    report = json.loads(open(out).read())
+    report["result"][key] = -1
+    open(out, "w").write(json.dumps(report))
+    code, _ = run(capsys, "verify", "--input", out)
     assert code == 2
 
 

@@ -27,7 +27,7 @@ from matspace.gf2 import (
     rref_bits,
     unpack_row,
 )
-from matspace.matrices import rref_rows_generic
+from matspace.matrices import rref_rows
 from matspace.predicates import HOLDS
 
 F2 = PrimeField(2)
@@ -52,7 +52,7 @@ def test_rref_bits_matches_generic():
         ncols = rng.randint(1, 6)
         rows = [[rng.randint(0, 1) for _ in range(ncols)] for _ in range(nrows)]
         bit_rows, bit_pivots = rref_bits(pack_rows(rows, ncols), ncols)
-        gen_rows, gen_pivots = rref_rows_generic(F2, rows)
+        gen_rows, gen_pivots = rref_rows(F2, rows)
         assert bit_pivots == gen_pivots
         assert [unpack_row(b, ncols) for b in bit_rows] == gen_rows
 
@@ -63,7 +63,7 @@ def test_matrix_rref_dispatch_is_bit_identical():
         rows = [[rng.randint(0, 1) for _ in range(4)] for _ in range(3)]
         M = Matrix(F2, rows)
         R, rank, pivots = rref(M)
-        gen_rows, gen_pivots = rref_rows_generic(F2, rows)
+        gen_rows, gen_pivots = rref_rows(F2, rows)
         assert [list(r) for r in R.rows] == gen_rows
         assert pivots == gen_pivots
         assert rank == len(gen_pivots)

@@ -24,10 +24,12 @@ from matspace.errors import FieldMismatch, ShapeMismatch, Singular
 from matspace.matrices import _simple_factor_mod, rref_rows
 
 from oracles import (
+    berkowitz_oracle,
     det_oracle,
     diagonalizable_min_poly_oracle,
     diagonalizable_oracle,
     eigenvalues_oracle,
+    eigenvalues_split_oracle,
     random_invertible,
     random_matrix,
     rref_field_ops_oracle,
@@ -136,6 +138,25 @@ def test_char_poly_examples():
     assert char_poly(Matrix.identity(Q, 2)) == Poly(Q, [1, -2, 1])  # (t-1)^2
 
 
+@pytest.mark.parametrize("p", (2, 3, 101, 2**31 - 1, 0))
+def test_int_char_poly_matches_field_generic_berkowitz(p):
+    # p = 0 stands for Q, with entry denominators in {1, 2, 3, 7}.
+    F = PrimeField(p) if p else Q
+    rng = random.Random(p + 1)
+    for n in range(6):
+        for density in (0.3, 1.0):
+            for _ in range(4):
+                def entry():
+                    if rng.random() > density:
+                        return 0
+                    if p:
+                        return rng.randrange(p)
+                    return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7)))
+
+                M = Matrix(F, [[entry() for _ in range(n)] for _ in range(n)])
+                assert char_poly(M) == Poly(F, berkowitz_oracle(F, M.rows)), M
+
+
 def test_cayley_hamilton_random():
     rng = random.Random(3)
     for field in (F7, Q):
@@ -215,6 +236,23 @@ def test_eigenvalues_large_field_uses_splitting():
     M2 = Matrix(F, [[0, -1], [1, 0]])  # chi = t^2 + 1; p = 3 mod 4 so no roots
     assert p % 4 == 3
     assert eigenvalues_in_field(M2) == []
+
+
+@pytest.mark.parametrize("p", (999983, 2**31 - 1))
+def test_eigenvalues_above_the_scan_limit_match_poly_splitting(p):
+    F = PrimeField(p)
+    rng = random.Random(p)
+    found = 0
+    for n in (1, 2, 3, 4):
+        for _ in range(6):
+            S = random_invertible(F, n, rng)
+            pool = [0, 1, rng.randrange(p), rng.randrange(p)]
+            D = Matrix.diagonal(F, [rng.choice(pool) for _ in range(n)])
+            for M in (random_matrix(F, n, rng), S * D * invert(S), S * (D + Matrix.unit(F, n, 0, n - 1)) * invert(S)):
+                got = eigenvalues_in_field(M)
+                assert got == eigenvalues_split_oracle(M), M
+                found += len(got)
+    assert found > 50
 
 
 def test_is_diagonalizable_examples():

@@ -11,6 +11,7 @@ from matspace import (
     VecSpace,
     Vector,
     char_poly,
+    invert,
     is_diagonalizable,
     all_diagonalizable,
     irreducible,
@@ -28,7 +29,9 @@ from matspace.predicates import FAILS, HOLDS, UNKNOWN, Verdict, _norton_holds
 from oracles import (
     all_diagonalizable_scan_oracle,
     irreducible_lines_oracle,
+    berkowitz_oracle,
     irreducible_scan_oracle,
+    least_nonzero_root_oracle,
     non_isotropic_scan_oracle,
     random_invertible,
     random_space,
@@ -359,6 +362,29 @@ def test_trivial_spectrum_witness_reverifies():
                 assert lam != 0
                 assert char_poly(M).eval(lam) == 0
                 assert V.contains(M)
+
+
+def test_trivial_spectrum_above_the_scan_limit_matches_the_horner_scan():
+    # On a line the only kept member is its RREF basis matrix B, so the
+    # verdict is decided by B's least nonzero eigenvalue, or its absence.
+    p = 10007  # above SCAN_LIMIT, and 3 mod 4: t^2 + 1 has no root
+    F = PrimeField(p)
+    rng = random.Random(31)
+    S = random_invertible(F, 3, rng)
+    lines = [
+        S * Matrix.diagonal(F, [0, 9876, 1234]) * invert(S),
+        S * Matrix.diagonal(F, [0, 0, 5000]) * invert(S),
+        S * Matrix(F, [[0, -1, 0], [1, 0, 0], [0, 0, 0]]) * invert(S),
+        MatSpace.standard("strict_upper", 2, F).basis()[0],
+    ] + [Matrix(F, [[rng.randrange(p) for _ in range(3)] for _ in range(3)]) for _ in range(6)]
+    outcomes = set()
+    for M in lines:
+        V = MatSpace.span([M])
+        B = V.basis()[0]
+        lam = least_nonzero_root_oracle(berkowitz_oracle(F, B.rows), p)
+        assert trivial_spectrum(V) == (Verdict.fails((B, lam)) if lam else Verdict.holds()), M
+        outcomes.add(bool(lam))
+    assert outcomes == {True, False}
 
 
 def test_trivial_spectrum_over_q():

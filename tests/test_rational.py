@@ -159,6 +159,47 @@ def test_conjugated_diagonals_with_repeated_and_zero_eigenvalues():
             assert not is_diagonalizable(J) and not diagonalizable_q_oracle(J)
 
 
+def jordan(lam, k) -> list:
+    return [[lam if j == i else int(j == i + 1) for j in range(k)] for i in range(k)]
+
+
+def block_diagonal(*blocks) -> Matrix:
+    n = sum(len(b) for b in blocks)
+    rows, at = [[0] * n for _ in range(n)], 0
+    for b in blocks:
+        for i, r in enumerate(b):
+            rows[at + i][at : at + len(r)] = r
+        at += len(b)
+    return Matrix(Q, rows)
+
+
+def test_is_diagonalizable_on_structured_matrices_matches_the_min_poly_reference():
+    # Integer-root product test against the min_poly / Poly gcd reference.
+    half, third = Fraction(1, 2), Fraction(-1, 3)
+    two = [[0, 2], [1, 0]]  # companion of t^2 - 2
+    cases = [
+        (block_diagonal([[0]]), True),
+        (block_diagonal([[Fraction(5, 7)]]), True),
+        (block_diagonal(jordan(0, 2)), False),
+        (block_diagonal(jordan(half, 3)), False),
+        (block_diagonal(jordan(1, 2), [[1]]), False),
+        (block_diagonal(jordan(third, 2), [[2]], [[third]]), False),
+        (block_diagonal(two), False),
+        (block_diagonal(two, [[0]]), False),
+        (block_diagonal(two, [[Fraction(1, 7)]], [[Fraction(1, 7)]]), False),
+        (block_diagonal([[2]], [[2]], [[0]], [[0]]), True),
+        (block_diagonal([[half]], [[half]], [[-3]]), True),
+        (block_diagonal([[0]], [[0]], [[0]]), True),
+        (block_diagonal(jordan(0, 4)), False),
+    ]
+    rng = random.Random(29)
+    for D, want in cases:
+        n = D.nrows
+        S, Sinv = random_invertible_q(rng, n)
+        for M in (D, S * D * Sinv, S * D * Sinv * Fraction(1, 3)):
+            assert is_diagonalizable(M) is want is diagonalizable_q_oracle(M), M
+
+
 # -- the sampler and the sampled predicates -------------------------------------------
 
 
