@@ -41,16 +41,25 @@ class ZeroVector(MatSpaceError):
     pass
 
 
+def _count(x: int) -> str:
+    """x in decimal, or by its bit length when it is too long for str() (4,300 digits)."""
+    return str(x) if x.bit_length() <= 13_000 else f"a {x.bit_length()}-bit number of"
+
+
 class BudgetExceeded(MatSpaceError):
     def __init__(self, required: int, budget: int):
-        super().__init__(f"{required} element-tests exceed budget {budget}")
+        super().__init__(f"{_count(required)} element-tests exceed budget {budget}")
         self.required = required
         self.budget = budget
 
 
 class CapExceeded(MatSpaceError):
-    def __init__(self, total: int, cap: int, hint: str = ""):
-        msg = f"{total} subspaces exceed cap {cap}"
+    """`total` is the subspace count, or None when the run was refused on
+    the lower bound 2^bound_log2 alone, before the count was computed."""
+
+    def __init__(self, total: int | None, cap: int, hint: str = "", bound_log2: int = 0):
+        count = f"at least 2^{bound_log2}" if total is None else _count(total)
+        msg = f"{count} subspaces exceed cap {cap}"
         if hint:
             msg += f" ({hint})"
         super().__init__(msg)

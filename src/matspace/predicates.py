@@ -38,7 +38,7 @@ from .matrices import (
     Matrix,
     Vector,
     _integer_roots,
-    _matmul_mod,
+    _matmul,
     _roots_mod,
     _simple_factor_mod,
     char_poly_rows,
@@ -47,7 +47,7 @@ from .matrices import (
     is_diagonalizable,
     kernel_rows,
 )
-from .spaces import DEFAULT_BUDGET, MatSpace, VecSpace
+from .spaces import DEFAULT_BUDGET, MatSpace, VecSpace, _unflatten
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -143,11 +143,7 @@ def _samples(dim: int, seed: int, count: int, with_basis: bool = True) -> Iterat
 def _integer_members(n: int, basis: list, samples: Iterator[tuple]) -> Iterator[list]:
     """The integer n x n matrices sum(c_i * basis_i), basis given as flat int rows."""
     for c in samples:
-        flat = [0] * (n * n)
-        for a, row in zip(c, basis):
-            if a:
-                flat = [x + a * y for x, y in zip(flat, row)]
-        yield [flat[i * n : (i + 1) * n] for i in range(n)]
+        yield _unflatten(n, _matmul([c], basis)[0])
 
 
 def _unscaled(F: Field, rows: list, L: int) -> Matrix:
@@ -170,7 +166,7 @@ def _norton_holds(V: MatSpace) -> bool:
     """
     F, n, p = V.field, V.n, V.field.cardinality
     for flat in V.rows:
-        a = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
+        a = _unflatten(n, flat)
         f = _simple_factor_mod(char_poly_rows(a, p), p)
         if f is None:
             continue
@@ -178,7 +174,7 @@ def _norton_holds(V: MatSpace) -> bool:
             return False  # ker f(a) is a proper <a>-stable subspace
         theta = [[0] * n for _ in range(n)]
         for c in reversed(f):  # Horner: theta <- theta * a + c * I
-            theta = _matmul_mod(theta, a, p)
+            theta = _matmul(theta, a, p)
             for i in range(n):
                 theta[i][i] = (theta[i][i] + c) % p
         v = kernel_rows(F, theta, n)[0]
@@ -270,7 +266,7 @@ def trivial_spectrum(V: MatSpace, budget: int = DEFAULT_BUDGET, seed: int = 0) -
             raise BudgetExceeded(total, budget)
         p, n = F.cardinality, V.n
         for flat in V.projective_rows(budget):
-            rows = [flat[i * n : (i + 1) * n] for i in range(n)]
+            rows = _unflatten(n, flat)
             lam = next((r for r in _roots_mod(char_poly_rows(rows, p), p) if r), 0)
             if lam:
                 return Verdict.fails((Matrix(F, rows), lam))

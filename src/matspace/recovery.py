@@ -27,7 +27,7 @@ from .errors import (
     ZeroDiagonalEntry,
 )
 from .fields import Scalar
-from .matrices import Matrix, invert, is_diagonalizable, kernel_rows, rref_rows
+from .matrices import Matrix, _matmul, invert, is_diagonalizable, kernel_rows, rref_rows
 from .predicates import (
     FAILS,
     UNKNOWN,
@@ -36,7 +36,7 @@ from .predicates import (
     non_isotropic,
     trivial_spectrum,
 )
-from .spaces import DEFAULT_BUDGET, MatSpace
+from .spaces import DEFAULT_BUDGET, MatSpace, _canonical
 
 SUCCESS = "success"
 CONDITIONAL = "conditional_success"
@@ -159,17 +159,12 @@ def solve_symmetrizer(V: MatSpace, budget: int = DEFAULT_BUDGET) -> tuple[MatSpa
             f"no invertible element among the {F.cardinality}^{space.dim} solutions",
             exhaustive=True,
         )
-    basis = space.basis()
-    if basis and 7 ** len(basis) <= budget:
-        for coeffs in itertools.product(range(-3, 4), repeat=len(basis)):
-            if all(c == 0 for c in coeffs):
-                continue
-            P = Matrix.zero(F, n)
-            for c, B in zip(coeffs, basis):
-                if c:
-                    P = P + B * F.coerce(c)
-            if _invertible(P):
-                return space, P
+    if 7**space.dim <= budget:
+        for coeffs in itertools.product(range(-3, 4), repeat=space.dim):
+            if any(coeffs):
+                P = space._unvec(_matmul([coeffs], space.rows)[0])
+                if _invertible(P):
+                    return space, P
     raise NoInvertibleSolution(
         "bounded search over integer combinations found no invertible solution",
         exhaustive=False,
@@ -364,6 +359,7 @@ def block_decompose(V: MatSpace) -> BlockMaps:
         raise ShapeMismatch("block decomposition needs n >= 2")
     F = V.field
     n = V.n
+    p = F.cardinality or 0
     basis = V.basis()
     dim = len(basis)
 
@@ -382,14 +378,7 @@ def block_decompose(V: MatSpace) -> BlockMaps:
     k_mat = columns_to_matrix(k_cols) if dim else Matrix.zero(F, (n - 1) ** 2, 0)
 
     def coeff_space(kernel_vectors):
-        mats = []
-        for coeffs in kernel_vectors:
-            M = Matrix.zero(F, n)
-            for c, B in zip(coeffs, basis):
-                if c != 0:
-                    M = M + B * c
-            mats.append(M)
-        return MatSpace.span(mats, field=F, n=n)
+        return MatSpace(F, n, _canonical(F, _matmul(kernel_vectors, V.rows, p)))
 
     c_kernel = kernel_rows(F, [list(r) for r in c_mat.rows], dim) if dim else []
     W = coeff_space(c_kernel)
@@ -398,14 +387,7 @@ def block_decompose(V: MatSpace) -> BlockMaps:
     dim_cv = len(c_pivots)
 
     # K restricted to W: images of W's coefficient-kernel basis.
-    kw_rows = []
-    for coeffs in c_kernel:
-        img = [F.zero()] * ((n - 1) ** 2)
-        for idx, c in enumerate(coeffs):
-            if c != 0:
-                col = k_cols[idx]
-                img = [F.add(x, F.mul(c, y)) for x, y in zip(img, col)]
-        kw_rows.append(img)
+    kw_rows = _matmul(c_kernel, k_cols, p)
     _, kw_pivots = rref_rows(F, kw_rows) if kw_rows else ([], [])
     dim_kw = len(kw_pivots)
 

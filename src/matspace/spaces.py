@@ -5,7 +5,8 @@ subspace, so equality of subspaces is structural equality of bases.  The
 trace bilinear form tr(AB) drives the orthogonal complement and the
 multiplier spaces: with row-major vectorization, tr(AB) = vec(A^T) . vec(B),
 so their kernels use the transposed-index rearrangement and plain dot
-products realize the form.
+products realize the form.  The products of basis members that the
+multiplier spaces need come from the one product kernel `matrices._matmul`.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from .errors import (
     ShapeMismatch,
     Singular,
 )
-from .fields import Field, Scalar
-from .matrices import Matrix, Vector, invert, kernel_rows, rref_rows
+from .fields import Field
+from .matrices import Matrix, Vector, _matmul, invert, kernel_rows, rref_rows, solve_columns
 
 DEFAULT_BUDGET = 10**7
 
@@ -43,18 +44,8 @@ def _annihilator(field: Field, n: int, flats: Sequence[Sequence]) -> "MatSpace":
     return MatSpace(field, n, _canonical(field, kernel_rows(field, rows, n * n)))
 
 
-def _dot(field: Field, xs, ys) -> Scalar:
-    s = field.zero()
-    for x, y in zip(xs, ys):
-        if x != 0 and y != 0:
-            s = field.add(s, field.mul(x, y))
-    return s
-
-
-def _flat_product(field: Field, n: int, X: Sequence, Y: Sequence) -> list:
-    """Row-major product of two row-major n x n matrices."""
-    cols = [Y[k::n] for k in range(n)]
-    return [_dot(field, X[i * n : (i + 1) * n], c) for i in range(n) for c in cols]
+def _unflatten(n: int, flat: Sequence) -> list:
+    return [flat[i * n : (i + 1) * n] for i in range(n)]
 
 
 class VecSpace:
@@ -203,8 +194,7 @@ class MatSpace:
         return [self._unvec(r) for r in self.rows]
 
     def _unvec(self, flat: Sequence) -> Matrix:
-        n = self.n
-        return Matrix(self.field, [flat[i * n : (i + 1) * n] for i in range(n)])
+        return Matrix(self.field, _unflatten(self.n, flat))
 
     def _check_ambient(self, other: "MatSpace"):
         if self.field != other.field:
@@ -212,23 +202,26 @@ class MatSpace:
         if self.n != other.n:
             raise ShapeMismatch(f"Mat_{self.n} vs Mat_{other.n}")
 
-    def contains(self, M: Matrix) -> bool:
-        """Membership by residual elimination against the canonical basis."""
+    def _check_member(self, M: Matrix):
         if M.field != self.field:
             raise FieldMismatch(f"{M.field} vs {self.field}")
         if not M.is_square or M.nrows != self.n:
             raise ShapeMismatch(f"expected {self.n}x{self.n} matrix")
+
+    def contains(self, M: Matrix) -> bool:
+        """Membership by residual elimination against the canonical basis."""
+        self._check_member(M)
         red, pivots = rref_rows(self.field, [list(r) for r in self.rows] + [list(M.vec())])
         return len(pivots) == self.dim
 
     def coordinates(self, M: Matrix):
-        """Coefficients of M over the canonical basis, or None when M is outside."""
-        from .matrices import solve_columns
+        """Coefficients of M over the canonical basis, or None when M is outside.
 
-        if not self.contains(M):
-            return None
-        cols = [list(r) for r in self.rows]
-        return solve_columns(self.field, cols, list(M.vec()))
+        One elimination answers both: `solve_columns` returns None exactly
+        when M is not in the span.
+        """
+        self._check_member(M)
+        return solve_columns(self.field, [list(r) for r in self.rows], list(M.vec()))
 
     # -- lattice operations --------------------------------------------------
 
@@ -279,12 +272,12 @@ class MatSpace:
         self._check_ambient(target)
         if side not in ("left", "right"):
             raise ShapeMismatch(f"unknown multiplier side {side!r}")
-        F, n = self.field, self.n
-        products = [
-            _flat_product(F, n, B, A) if side == "left" else _flat_product(F, n, A, B)
-            for A in target.orth().rows
-            for B in self.rows
-        ]
+        F, n, p = self.field, self.n, self.field.cardinality or 0
+        products = []
+        for A in target.orth().rows:
+            for B in self.rows:
+                X, Y = (B, A) if side == "left" else (A, B)
+                products.append([x for r in _matmul(_unflatten(n, X), _unflatten(n, Y), p) for x in r])
         return _annihilator(F, n, products)
 
     # -- transformations -------------------------------------------------------

@@ -75,6 +75,26 @@ def rref_field_ops_oracle(F, rows):
     return rows, pivots
 
 
+def matmul_field_ops_oracle(F, A, B):
+    """Row lists A times B, entry by entry through the field's add and mul.
+
+    This is the product `Matrix.__mul__` ran before products moved to native
+    numbers in `matrices._matmul`, so the two must agree entry for entry.
+    """
+    cols = list(zip(*B))
+    out = []
+    for r in A:
+        row = []
+        for c in cols:
+            s = F.zero()
+            for a, b in zip(r, c):
+                if a != 0 and b != 0:
+                    s = F.add(s, F.mul(a, b))
+            row.append(s)
+        out.append(row)
+    return out
+
+
 def rank_oracle(M):
     return len(rref_field_ops_oracle(M.field, M.rows)[1])
 

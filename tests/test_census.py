@@ -181,6 +181,13 @@ def test_census_gates():
         census(2, 3, 2, ["diag"], engine="bits")
 
 
+def test_oversized_counts_print_by_bit_length():
+    # str() refuses an int of more than 4,300 digits
+    assert str(BudgetExceeded(7**6000, 10)) == "a 16845-bit number of element-tests exceed budget 10"
+    assert str(CapExceeded(2**20000, 10)) == "a 20001-bit number of subspaces exceed cap 10"
+    assert str(BudgetExceeded(7**6, 10)) == "117649 element-tests exceed budget 10"
+
+
 def test_census_rejects_unknown_engine_and_bad_counts():
     for kwargs in ({"engine": "turbo"}, {"workers": 0}, {"workers": -4}, {"witness_limit": -1}):
         with pytest.raises(InvalidInput):

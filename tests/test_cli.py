@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -127,6 +128,23 @@ def test_census_missing_flags_exit2(capsys):
 def test_census_heavy_gate_exit4(capsys):
     code, _ = run(capsys, "census", "--n", "3", "--q", "2", "--d", "4", "--pred", "trivspec")
     assert code == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "30", "--d", "450", "--pred", "diag"],
+        ["--n", "100", "--d", "5000", "--pred", "diag"],
+        ["--task", "maxdim", "--n", "100"],
+    ],
+)
+def test_census_oversized_count_exit4_at_once(capsys, argv):
+    # The lower bound 2^(d(n^2-d)) on the count refuses these runs; the
+    # exact count would take minutes, and its decimal form is too long for str().
+    started = time.perf_counter()
+    code, _ = run(capsys, "census", "--q", "2", *argv)
+    assert code == 4
+    assert time.perf_counter() - started < 10
 
 
 def test_budget_exit4(capsys, tmp_path):

@@ -21,7 +21,7 @@ from matspace import (
     rref,
 )
 from matspace.errors import FieldMismatch, ShapeMismatch, Singular
-from matspace.matrices import _simple_factor_mod, rref_rows
+from matspace.matrices import _matmul, _simple_factor_mod, rref_rows
 
 from oracles import (
     berkowitz_oracle,
@@ -30,6 +30,7 @@ from oracles import (
     diagonalizable_oracle,
     eigenvalues_oracle,
     eigenvalues_split_oracle,
+    matmul_field_ops_oracle,
     random_invertible,
     random_matrix,
     rref_field_ops_oracle,
@@ -355,3 +356,57 @@ def test_vector_ops():
     assert Vector.basis(F7, 3, 1).entries == (0, 1, 0)
     M = Matrix(F7, [[1, 2], [3, 4]])
     assert (M * v).entries == (5, 4)  # (1+4, 3+8) mod 7
+
+
+KERNEL_FIELDS = (F2, F3, PrimeField(101), PrimeField(2**31 - 1), Q)
+
+
+def _entries(F, rng, nrows, ncols):
+    """Sparse random rows; over Q the denominators come from {1, 2, 3, 7}."""
+    def entry():
+        if rng.random() < 0.3:
+            return F.zero()
+        if F.is_finite:
+            return F.coerce(rng.randrange(F.cardinality))
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7)))
+
+    return [[entry() for _ in range(ncols)] for _ in range(nrows)]
+
+
+@pytest.mark.parametrize("F", KERNEL_FIELDS, ids=str)
+def test_native_arithmetic_matches_field_op_reference(F):
+    rng = random.Random(91)
+    p = F.cardinality or 0
+    for n, m, k in [(1, 1, 1), (2, 2, 2), (3, 3, 3), (4, 4, 4), (2, 3, 4), (3, 1, 2), (1, 4, 3)]:
+        rows_a, rows_b, rows_c = _entries(F, rng, n, m), _entries(F, rng, m, k), _entries(F, rng, n, m)
+        A, B, C = Matrix(F, rows_a), Matrix(F, rows_b), Matrix(F, rows_c)
+        want = matmul_field_ops_oracle(F, rows_a, rows_b)
+        assert (A * B).rows == tuple(map(tuple, want))
+        assert [list(map(F.coerce, r)) for r in _matmul(rows_a, rows_b, p)] == want
+        if p:  # reduced mod p: already canonical residues
+            assert _matmul(rows_a, rows_b, p) == want
+        else:  # over Q the product is exact without p
+            assert _matmul(rows_a, rows_b) == want
+        v, w = Vector(F, _entries(F, rng, 1, m)[0]), Vector(F, _entries(F, rng, 1, m)[0])
+        column = matmul_field_ops_oracle(F, rows_a, [[x] for x in v.entries])
+        assert (A * v).entries == tuple(r[0] for r in column)
+        assert v.dot(w) == matmul_field_ops_oracle(F, [v.entries], [[x] for x in w.entries])[0][0]
+        assert (A + C).rows == tuple(tuple(F.add(a, b) for a, b in zip(r, s)) for r, s in zip(A.rows, C.rows))
+        assert (A - C).rows == tuple(tuple(F.sub(a, b) for a, b in zip(r, s)) for r, s in zip(A.rows, C.rows))
+        assert (-A).rows == tuple(tuple(F.neg(a) for a in r) for r in A.rows)
+        assert (v + w).entries == tuple(F.add(a, b) for a, b in zip(v.entries, w.entries))
+        assert (v - w).entries == tuple(F.sub(a, b) for a, b in zip(v.entries, w.entries))
+        assert (-v).entries == tuple(F.neg(a) for a in v.entries)
+        for c in (3, -2, Fraction(5, 7), Fraction(-1, 3)):
+            if F.is_finite and Fraction(c).denominator % F.cardinality == 0:
+                continue
+            cf = F.coerce(c)
+            scaled = tuple(tuple(F.mul(cf, a) for a in r) for r in A.rows)
+            assert (A * c).rows == (c * A).rows == scaled
+            assert v.scale(c).entries == tuple(F.mul(cf, a) for a in v.entries)
+        S = Matrix(F, _entries(F, rng, n, n))
+        trace = F.zero()
+        for i in range(n):
+            trace = F.add(trace, S.rows[i][i])
+        assert S.trace() == trace and type(S.trace()) is type(trace)
+        assert type(v.dot(w)) is type(F.zero())

@@ -105,6 +105,16 @@ def test_symmetrizer_pick_matches_the_full_scan():
     assert scanned >= 10
 
 
+def test_symmetrizer_rational_integer_combination_frozen():
+    # Both canonical basis members E11 and E22 of the solution space are
+    # singular, so the pick comes from the integer combinations; the first
+    # invertible one in [-3, 3]^2 order is -3*E11 - 3*E22.
+    diagonal = MatSpace.standard("diagonal", 2, Q)
+    space, P = solve_symmetrizer(diagonal)
+    assert space == diagonal
+    assert P.rows == ((Fraction(-3), Fraction(0)), (Fraction(0), Fraction(-3)))
+
+
 # -- congruence_diagonalize ------------------------------------------------------
 
 
@@ -246,6 +256,26 @@ def test_block_reassembly_and_rank_identity():
                     ],
                 )
                 assert rebuilt == M
+
+
+def test_block_decompose_subspaces_match_intersections():
+    # W keeps the members of V with a zero first column below the corner, the
+    # corner kernel those that are zero outside the first row's off-corner
+    # entries; both are computed here as intersections with coordinate spaces.
+    def units(field, n, cells):
+        return MatSpace.span([Matrix.unit(field, n, i, j) for i, j in cells], field, n)
+
+    rng = random.Random(35)
+    for field in (F2, F7, Q):
+        for _ in range(15):
+            n = rng.choice((2, 3))
+            V = random_space(field, n, rng)
+            bm = block_decompose(V)
+            cells = [(i, j) for i in range(n) for j in range(n)]
+            assert bm.W == V & units(field, n, [(i, j) for i, j in cells if j or not i])
+            assert bm.corner_kernel == V & units(field, n, [(0, j) for j in range(1, n)])
+            lower = MatSpace.span([bm.block_of(M) for M in bm.W.basis()], field, n - 1)
+            assert bm.dim_KW == lower.dim
 
 
 def test_corner_kernel_squares_to_zero():
