@@ -11,8 +11,9 @@ product and linear combination goes through the one kernel `_matmul`.
 
 Char polys come from one division-free Berkowitz on plain ints
 (`char_poly_rows`): over GF(p) on the canonical residues, reduced mod p;
-over Q on L*M, L the lcm of the denominators.  Over GF(p) elimination and
-the diagonalizability test (M^p = M) run on plain ints mod p, and small
+over Q on L*M, L the lcm of the denominators.  `rref_rows`, the one
+elimination, packs GF(2) rows for `gf2.rref_bits`.  Over GF(p) elimination
+and the diagonalizability test (M^p = M) run on plain ints mod p, and small
 helpers on int coefficient lists compute gcds and powers, find the roots
 (`_roots_mod`: a scan up to SCAN_LIMIT, gcd with t^p - t and seeded
 splitting above it) and find an irreducible factor of multiplicity 1, for
@@ -30,6 +31,7 @@ from math import lcm
 from operator import add, mul, sub
 from typing import Iterable, Sequence
 
+from . import gf2
 from .errors import FieldMismatch, ShapeMismatch, Singular
 from .fields import Field, PrimeField, RationalField, Scalar, is_prime
 from .polys import Poly
@@ -263,17 +265,21 @@ class Matrix:
 # -- elimination ------------------------------------------------------------
 
 
-def rref_rows(field: Field, rows: list) -> tuple[list, list[int]]:
-    """In-place style RREF on a list of coefficient rows; returns (rows, pivot columns).
+def rref_rows(field: Field, rows: Iterable) -> tuple[list, list[int]]:
+    """RREF of a copy of the coefficient rows; returns (rows, pivot columns).
 
-    Over GF(p) the row operations run on plain ints mod p, over Q on the
-    Fractions (or ints) themselves.  The pivot is inverted by the field, as
-    Q rows may hold ints and 1 / int is a float.
+    The one row reduction, dispatched per field.  GF(2) rows are packed into
+    int bitsets for `gf2.rref_bits`, other GF(p) rows run on plain ints mod
+    p, and Q rows on the Fractions (or ints) themselves.  The pivot is
+    inverted by the field, as Q rows may hold ints and 1 / int is a float.
     """
     rows = [list(r) for r in rows]
     p = field.p if isinstance(field, PrimeField) else 0
     m = len(rows)
     ncols = len(rows[0]) if m else 0
+    if p == 2:
+        packed, pivots = gf2.rref_bits(gf2.pack_rows(rows, ncols), ncols)
+        return [gf2.unpack_row(b, ncols) for b in packed], pivots
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -305,18 +311,11 @@ def rref_rows(field: Field, rows: list) -> tuple[list, list[int]]:
 
 def rref(M: Matrix) -> tuple[Matrix, int, list[int]]:
     """Unique reduced row-echelon form, with rank and pivot columns."""
-    if M.field.kind == "prime" and M.field.characteristic == 2 and M.nrows and M.ncols:
-        from . import gf2
-
-        packed = gf2.pack_rows([list(r) for r in M.rows], M.ncols)
-        out, pivots = gf2.rref_bits(packed, M.ncols)
-        rows = [gf2.unpack_row(b, M.ncols) for b in out]
-        return Matrix(M.field, rows), len(pivots), pivots
-    rows, pivots = rref_rows(M.field, [list(r) for r in M.rows])
+    rows, pivots = rref_rows(M.field, M.rows)
     return Matrix(M.field, rows), len(pivots), pivots
 
 
-def kernel_rows(field: Field, rows: list, ncols: int) -> list[list]:
+def kernel_rows(field: Field, rows: Iterable, ncols: int) -> list[list]:
     """Basis of the right kernel in RREF-derived canonical form."""
     red, pivots = rref_rows(field, rows)
     pivot_set = set(pivots)
@@ -333,7 +332,7 @@ def kernel_rows(field: Field, rows: list, ncols: int) -> list[list]:
 
 def kernel_basis(M: Matrix) -> list[Vector]:
     """Basis of {X : MX = 0}; size is ncols - rank."""
-    return [Vector(M.field, v) for v in kernel_rows(M.field, [list(r) for r in M.rows], M.ncols)]
+    return [Vector(M.field, v) for v in kernel_rows(M.field, M.rows, M.ncols)]
 
 
 def solve_columns(field: Field, cols: list, target: list):

@@ -10,7 +10,8 @@ each member, so they test one member per projective class
 failing member of the full enumeration; `non_isotropic` solves for the last
 coordinate of each projective point instead of trying its q values.
 Eigenvalues over GF(p) come from the int char poly (`char_poly_rows`) and the
-one root finder `matrices._roots_mod`.
+one root finder `matrices._roots_mod`.  `spin` keeps its span as RREF rows
+and asks `rref_rows` once per image whether it is new.
 Over the rationals, irreducibility and isotropy are three-valued: Unknown is
 an honest answer and is never silently converted.
 
@@ -32,7 +33,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator
 
-from .errors import BudgetExceeded, ZeroVector
+from .errors import BudgetExceeded, InfiniteField, ZeroVector
 from .fields import Field, Scalar
 from .matrices import (
     Matrix,
@@ -46,6 +47,7 @@ from .matrices import (
     det,
     is_diagonalizable,
     kernel_rows,
+    rref_rows,
 )
 from .spaces import DEFAULT_BUDGET, MatSpace, VecSpace, _unflatten
 
@@ -81,8 +83,10 @@ def projective_points(field: Field, n: int) -> Iterator[Vector]:
 
     The first nonzero coordinate is normalized to 1; representatives are
     ordered by the position of that coordinate, then lexicographically in the
-    remaining free coordinates.
+    remaining free coordinates.  An infinite field raises InfiniteField.
     """
+    if not field.is_finite:
+        raise InfiniteField(f"{field} is infinite")
     q = field.cardinality
     for lead in range(n):
         free = n - lead - 1
@@ -92,22 +96,27 @@ def projective_points(field: Field, n: int) -> Iterator[Vector]:
 
 
 def spin(V: MatSpace, v: Vector) -> VecSpace:
-    """Smallest V-stable subspace of F^n containing v, by worklist saturation."""
+    """Smallest V-stable subspace of F^n containing v, by worklist saturation.
+
+    The span is kept as RREF rows.  The d images of a frontier vector come
+    from one product with the stacked basis members, and each costs one
+    elimination: a higher rank means the image is new.
+    """
     if v.is_zero:
         raise ZeroVector("cannot spin from the zero vector")
-    basis = V.basis()
-    space = VecSpace.from_vectors(V.field, V.n, [v])
-    frontier = [v]
-    while frontier:
-        u = frontier.pop()
-        for M in basis:
-            w = M * u
-            if not w.is_zero and not space.contains(w):
-                space = space.with_vector(w)
+    F, n, p = V.field, V.n, V.field.cardinality or 0
+    stacked = [flat[i * n : (i + 1) * n] for flat in V.rows for i in range(n)]
+    span = rref_rows(F, [v.entries])[0]
+    frontier = [v.entries]
+    while frontier and len(span) < n:
+        column = _matmul(stacked, [[x] for x in frontier.pop()], p)
+        for k in range(0, len(column), n):
+            w = [r[0] for r in column[k : k + n]]
+            red, pivots = rref_rows(F, [*span, w])
+            if len(pivots) > len(span):
+                span = red[: len(pivots)]
                 frontier.append(w)
-        if space.is_full:
-            break
-    return space
+    return VecSpace(F, n, tuple(map(tuple, span)))
 
 
 def _samples(dim: int, seed: int, count: int, with_basis: bool = True) -> Iterator[tuple]:
@@ -178,7 +187,7 @@ def _norton_holds(V: MatSpace) -> bool:
             for i in range(n):
                 theta[i][i] = (theta[i][i] + c) % p
         v = kernel_rows(F, theta, n)[0]
-        w = kernel_rows(F, [list(r) for r in zip(*theta)], n)[0]
+        w = kernel_rows(F, zip(*theta), n)[0]
         # spin reads only the basis, so the transposed members need no canonical form.
         transposed = tuple(tuple(r[j * n + i] for i in range(n) for j in range(n)) for r in V.rows)
         return spin(V, Vector(F, v)).is_full and spin(MatSpace(F, n, transposed), Vector(F, w)).is_full

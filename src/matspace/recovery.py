@@ -142,7 +142,7 @@ def solve_symmetrizer(V: MatSpace, budget: int = DEFAULT_BUDGET) -> tuple[MatSpa
     space = V.multipliers(MatSpace.standard("sym", n, F), "right")
 
     def _invertible(M: Matrix) -> bool:
-        _, pivots = rref_rows(F, [list(r) for r in M.rows])
+        _, pivots = rref_rows(F, M.rows)
         return len(pivots) == n
 
     for P in space.basis():
@@ -380,21 +380,15 @@ def block_decompose(V: MatSpace) -> BlockMaps:
     def coeff_space(kernel_vectors):
         return MatSpace(F, n, _canonical(F, _matmul(kernel_vectors, V.rows, p)))
 
-    c_kernel = kernel_rows(F, [list(r) for r in c_mat.rows], dim) if dim else []
+    c_kernel = kernel_rows(F, c_mat.rows, dim)
     W = coeff_space(c_kernel)
-
-    _, c_pivots = rref_rows(F, [list(r) for r in c_mat.rows]) if dim else ([], [])
-    dim_cv = len(c_pivots)
+    dim_cv = dim - len(c_kernel)  # rank-nullity for C
 
     # K restricted to W: images of W's coefficient-kernel basis.
-    kw_rows = _matmul(c_kernel, k_cols, p)
-    _, kw_pivots = rref_rows(F, kw_rows) if kw_rows else ([], [])
+    _, kw_pivots = rref_rows(F, _matmul(c_kernel, k_cols, p))
     dim_kw = len(kw_pivots)
 
-    stacked = [list(r) for r in c_mat.rows] + [list(r) for r in k_mat.rows] + [
-        list(r) for r in a_mat.rows
-    ]
-    corner = coeff_space(kernel_rows(F, stacked, dim) if dim else [])
+    corner = coeff_space(kernel_rows(F, c_mat.rows + k_mat.rows + a_mat.rows, dim))
 
     return BlockMaps(
         n=n,

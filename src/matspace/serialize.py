@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 
 from ._version import __version__
-from .census import CensusReport, census
+from .census import CensusReport, census, max_diag_dim, verify_classification
 from .errors import InvalidInput
 from .fields import Field, make_field
 from .matrices import Matrix, Vector, is_diagonalizable
@@ -338,68 +338,62 @@ def classification_result(res: dict) -> dict:
 # -- verification ------------------------------------------------------------------
 
 
+def _int_param(params: dict, key: str, nonnegative: bool = True) -> int:
+    """params[key] checked as an int (not a bool), nonnegative for a budget or cap."""
+    value = params[key]
+    if isinstance(value, bool) or not isinstance(value, int) or (nonnegative and value < 0):
+        kind = "a nonnegative integer" if nonnegative else "an integer"
+        raise InvalidInput(f"report {key} must be {kind}, got {value!r}")
+    return value
+
+
+def _recompute(report: dict, workers: int, heavy: bool) -> dict:
+    """The result section of a report, computed afresh from its embedded inputs."""
+    kind = report["type"]
+    r = report.get("result")
+    if kind in ("analyze", "recovery"):
+        V = space_from_json(report["input"])
+        budget, seed = _int_param(report, "budget"), _int_param(report, "seed", False)
+        if kind == "analyze":
+            return analyze_result(V, budget, seed)
+        return recovery_result(recover(V, budget, seed))
+    if kind not in ("census", "max_diag_dim", "classification"):
+        raise InvalidInput(f"unknown report type {kind!r}")
+    bounds = r if kind == "census" else report  # a census report keeps them in its result
+    budget, cap = _int_param(bounds, "budget"), _int_param(bounds, "cap")
+    if kind == "max_diag_dim":
+        d_max, witness = max_diag_dim(r["n"], r["q"], budget, cap, heavy)
+        return max_diag_dim_result(r["n"], r["q"], d_max, witness)
+    if kind == "classification":
+        return classification_result(verify_classification(r["n"], r["q"], budget, cap, heavy))
+    rep = census(
+        r["n"],
+        r["q"],
+        r["d"],
+        r["predicates"],
+        budget=budget,
+        cap=cap,
+        workers=workers,
+        witness_limit=r["witness_limit"],
+        heavy=heavy,
+        engine=r["engine"],
+        keep_order=True,
+    )
+    return census_result(rep)
+
+
 def verify_report(report: dict, workers: int = 1, heavy: bool = False) -> tuple[bool, list]:
     """Re-run the embedded computation and re-check the transcript.
 
-    Returns (ok, details).  Raises CapExceeded/BudgetExceeded when gating
-    prevents the re-run (the caller maps that to its exit code).
+    Returns (ok, details).  Raises InvalidInput on a budget, cap or seed that
+    is not an int, or a negative bound, and CapExceeded/BudgetExceeded when
+    gating prevents the re-run (the caller maps each to its exit code).
     """
     if not isinstance(report, dict) or "type" not in report:
         raise InvalidInput("report JSON needs a 'type'")
-    kind = report["type"]
-    details: list = []
-    if kind == "analyze":
-        V = space_from_json(report["input"])
-        fresh = analyze_result(V, report["budget"], report["seed"])
-        ok = canonical_json(fresh) == canonical_json(report["result"])
-        details.append({"check": "recompute_matches", "ok": ok})
-        return all(d["ok"] for d in details), details
-    if kind == "recovery":
-        V = space_from_json(report["input"])
-        fresh = recovery_result(recover(V, report["budget"], report["seed"]))
-        ok = canonical_json(fresh) == canonical_json(report["result"])
-        details.append({"check": "recompute_matches", "ok": ok})
+    fresh = _recompute(report, workers, heavy)
+    ok = canonical_json(fresh) == canonical_json(report["result"])
+    details = [{"check": "recompute_matches", "ok": ok}]
+    if report["type"] == "recovery":
         details.extend(check_recovery_transcript(report))
-        return all(d["ok"] for d in details), details
-    if kind == "census":
-        r = report["result"]
-        rep = census(
-            r["n"],
-            r["q"],
-            r["d"],
-            r["predicates"],
-            budget=r["budget"],
-            cap=r["cap"],
-            workers=workers,
-            witness_limit=r["witness_limit"],
-            heavy=heavy,
-            engine=r["engine"],
-            keep_order=True,
-        )
-        fresh = census_result(rep)
-        ok = canonical_json(fresh) == canonical_json(r)
-        details.append({"check": "recompute_matches", "ok": ok})
-        return ok, details
-    if kind == "max_diag_dim":
-        from .census import max_diag_dim
-
-        r = report["result"]
-        d_max, witness = max_diag_dim(
-            r["n"], r["q"], budget=report["budget"], cap=report["cap"], heavy=heavy
-        )
-        fresh = max_diag_dim_result(r["n"], r["q"], d_max, witness)
-        ok = canonical_json(fresh) == canonical_json(r)
-        details.append({"check": "recompute_matches", "ok": ok})
-        return ok, details
-    if kind == "classification":
-        from .census import verify_classification
-
-        r = report["result"]
-        res = verify_classification(
-            r["n"], r["q"], budget=report["budget"], cap=report["cap"], heavy=heavy
-        )
-        fresh = classification_result(res)
-        ok = canonical_json(fresh) == canonical_json(r)
-        details.append({"check": "recompute_matches", "ok": ok})
-        return ok, details
-    raise InvalidInput(f"unknown report type {kind!r}")
+    return all(d["ok"] for d in details), details

@@ -6,7 +6,8 @@ trace bilinear form tr(AB) drives the orthogonal complement and the
 multiplier spaces: with row-major vectorization, tr(AB) = vec(A^T) . vec(B),
 so their kernels use the transposed-index rearrangement and plain dot
 products realize the form.  The products of basis members that the
-multiplier spaces need come from the one product kernel `matrices._matmul`.
+multiplier spaces and `transform` need come from the one product kernel
+`matrices._matmul`, and canonical forms from the one elimination `rref_rows`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ STANDARD_KINDS = ("sym", "alt", "strict_upper", "diagonal", "scalar", "full")
 
 
 def _canonical(field: Field, rows: Iterable) -> tuple:
-    red, pivots = rref_rows(field, [list(r) for r in rows])
+    red, pivots = rref_rows(field, rows)
     return tuple(tuple(r) for r in red[: len(pivots)])
 
 
@@ -85,13 +86,11 @@ class VecSpace:
     def contains(self, v: Vector) -> bool:
         if v.field != self.field or v.dim != self.n:
             raise ShapeMismatch("vector does not live in this ambient space")
-        red, pivots = rref_rows(self.field, [list(r) for r in self.rows] + [list(v.entries)])
+        red, pivots = rref_rows(self.field, [*self.rows, v.entries])
         return len(pivots) == self.dim
 
     def with_vector(self, v: Vector) -> "VecSpace":
-        return VecSpace(
-            self.field, self.n, _canonical(self.field, list(self.rows) + [v.entries])
-        )
+        return VecSpace(self.field, self.n, _canonical(self.field, [*self.rows, v.entries]))
 
     def __eq__(self, other):
         return (
@@ -211,7 +210,7 @@ class MatSpace:
     def contains(self, M: Matrix) -> bool:
         """Membership by residual elimination against the canonical basis."""
         self._check_member(M)
-        red, pivots = rref_rows(self.field, [list(r) for r in self.rows] + [list(M.vec())])
+        red, pivots = rref_rows(self.field, [*self.rows, M.vec()])
         return len(pivots) == self.dim
 
     def coordinates(self, M: Matrix):
@@ -221,15 +220,13 @@ class MatSpace:
         when M is not in the span.
         """
         self._check_member(M)
-        return solve_columns(self.field, [list(r) for r in self.rows], list(M.vec()))
+        return solve_columns(self.field, self.rows, M.vec())
 
     # -- lattice operations --------------------------------------------------
 
     def sum(self, other: "MatSpace") -> "MatSpace":
         self._check_ambient(other)
-        return MatSpace(
-            self.field, self.n, _canonical(self.field, list(self.rows) + list(other.rows))
-        )
+        return MatSpace(self.field, self.n, _canonical(self.field, self.rows + other.rows))
 
     __add__ = sum
 
@@ -290,17 +287,22 @@ class MatSpace:
             raise ShapeMismatch(f"expected {self.n}x{self.n} transform")
         if mode == "conjugate":
             try:
-                Pinv = invert(P)
+                left, right = P.rows, invert(P).rows
             except Singular:
                 raise Singular("conjugation requires an invertible matrix")
-            mats = [P * B * Pinv for B in self.basis()]
         elif mode == "left":
-            mats = [P * B for B in self.basis()]
+            left, right = P.rows, None
         elif mode == "right":
-            mats = [B * P for B in self.basis()]
+            left, right = None, P.rows
         else:
             raise ShapeMismatch(f"unknown transform mode {mode!r}")
-        return MatSpace.span(mats, field=self.field, n=self.n)
+        F, n, p = self.field, self.n, self.field.cardinality or 0
+        images = [_unflatten(n, flat) for flat in self.rows]
+        if left is not None:
+            images = [_matmul(left, B, p) for B in images]
+        if right is not None:
+            images = [_matmul(B, right, p) for B in images]
+        return MatSpace(F, n, _canonical(F, [[x for r in B for x in r] for B in images]))
 
     def conjugate(self, P: Matrix) -> "MatSpace":
         return self.transform(P, "conjugate")

@@ -15,8 +15,9 @@ import math
 import random
 from fractions import Fraction
 
-from matspace import MatSpace, Matrix, Poly, Vector, char_poly, kernel_basis, min_poly
-from matspace.predicates import HOLDS, Verdict, projective_points, spin
+from matspace import MatSpace, Matrix, Poly, VecSpace, Vector, char_poly, kernel_basis, min_poly
+from matspace.errors import ZeroVector
+from matspace.predicates import HOLDS, Verdict, projective_points
 
 
 def det_oracle(M):
@@ -120,6 +121,29 @@ def diagonalizable_min_poly_oracle(M):
     return Poly.pow_mod(t, M.field.cardinality, m) == t % m
 
 
+def spin_oracle(V: MatSpace, v: Vector) -> VecSpace:
+    """Worklist saturation on Matrix * Vector products and VecSpace membership.
+
+    This is the loop `spin` ran before it kept its span as RREF rows, so the
+    two must return the same canonical space.
+    """
+    if v.is_zero:
+        raise ZeroVector("cannot spin from the zero vector")
+    basis = V.basis()
+    space = VecSpace.from_vectors(V.field, V.n, [v])
+    frontier = [v]
+    while frontier:
+        u = frontier.pop()
+        for M in basis:
+            w = M * u
+            if not w.is_zero and not space.contains(w):
+                space = space.with_vector(w)
+                frontier.append(w)
+        if space.is_full:
+            break
+    return space
+
+
 def irreducible_lines_oracle(V: MatSpace):
     """n = 2 only: test stability of every line of F^2 under every basis matrix."""
     assert V.n == 2
@@ -152,7 +176,7 @@ def irreducible_scan_oracle(V: MatSpace) -> Verdict:
     this verdict, whether or not Norton's criterion settles it first.
     """
     for v in projective_points(V.field, V.n):
-        sub = spin(V, v)
+        sub = spin_oracle(V, v)
         if not sub.is_full:
             return Verdict.fails(sub)
     return Verdict.holds()
@@ -395,7 +419,7 @@ def irreducible_q_oracle(V: MatSpace, seed: int = 0) -> Verdict:
         M = rng_combination_oracle(V, basis, rng)
         starts.extend(k for k in kernel_basis(M) if not k.is_zero)
     for v in starts:
-        sub = spin(V, v)
+        sub = spin_oracle(V, v)
         if not sub.is_full:
             return Verdict.fails(sub)
     return Verdict.unknown("infinite field: irreducibility not decided")

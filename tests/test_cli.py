@@ -245,6 +245,44 @@ def test_verify_rejects_negative_census_bounds(capsys, tmp_path, key):
     assert code == 2
 
 
+CENSUS_ARGV = ["census", "--n", "2", "--q", "2", "--d", "1", "--pred", "diag"]
+MAXDIM_ARGV = ["census", "--task", "maxdim", "--n", "2", "--q", "2"]
+CLASSIFY_ARGV = ["census", "--task", "classify", "--n", "2", "--q", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, in_result, key, value",
+    [
+        (argv, False, key, value)
+        for argv in (["analyze"], ["recover"])
+        for key, value in [
+            ("budget", -5), ("budget", True), ("budget", 1e300),
+            ("seed", 1.5), ("seed", None), ("seed", [1]),
+        ]
+    ]
+    + [
+        (CENSUS_ARGV, True, "budget", True),
+        (CENSUS_ARGV, True, "cap", 1e300),
+        (MAXDIM_ARGV, False, "budget", 1e300),
+        (MAXDIM_ARGV, False, "cap", True),
+        (CLASSIFY_ARGV, False, "budget", True),
+        (CLASSIFY_ARGV, False, "cap", 1e300),
+    ],
+)
+def test_verify_rejects_a_malformed_budget_cap_or_seed(
+    capsys, tmp_path, scaled_path, argv, in_result, key, value
+):
+    out = str(tmp_path / "report.json")
+    if argv[0] != "census":
+        argv = [argv[0], "--input", scaled_path]
+    run(capsys, *argv, "--output", out)
+    report = json.loads(open(out).read())
+    (report["result"] if in_result else report)[key] = value
+    open(out, "w").write(json.dumps(report))
+    code, summary = run(capsys, "verify", "--input", out)
+    assert code == 2 and summary is None
+
+
 def test_verify_rejects_unknown_engine(capsys, tmp_path):
     out = str(tmp_path / "census.json")
     run(capsys, "census", "--n", "2", "--q", "2", "--d", "1", "--pred", "diag", "--output", out)

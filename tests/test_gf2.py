@@ -27,8 +27,9 @@ from matspace.gf2 import (
     rref_bits,
     unpack_row,
 )
-from matspace.matrices import rref_rows
 from matspace.predicates import HOLDS
+
+from oracles import rref_field_ops_oracle
 
 F2 = PrimeField(2)
 
@@ -52,7 +53,7 @@ def test_rref_bits_matches_generic():
         ncols = rng.randint(1, 6)
         rows = [[rng.randint(0, 1) for _ in range(ncols)] for _ in range(nrows)]
         bit_rows, bit_pivots = rref_bits(pack_rows(rows, ncols), ncols)
-        gen_rows, gen_pivots = rref_rows(F2, rows)
+        gen_rows, gen_pivots = rref_field_ops_oracle(F2, rows)
         assert bit_pivots == gen_pivots
         assert [unpack_row(b, ncols) for b in bit_rows] == gen_rows
 
@@ -63,10 +64,26 @@ def test_matrix_rref_dispatch_is_bit_identical():
         rows = [[rng.randint(0, 1) for _ in range(4)] for _ in range(3)]
         M = Matrix(F2, rows)
         R, rank, pivots = rref(M)
-        gen_rows, gen_pivots = rref_rows(F2, rows)
+        gen_rows, gen_pivots = rref_field_ops_oracle(F2, rows)
         assert [list(r) for r in R.rows] == gen_rows
         assert pivots == gen_pivots
         assert rank == len(gen_pivots)
+
+
+def test_gf2_elimination_takes_the_packed_path(monkeypatch):
+    import matspace.gf2
+
+    calls = []
+    real = matspace.gf2.rref_bits
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return real(rows, ncols)
+
+    monkeypatch.setattr(matspace.gf2, "rref_bits", counted)
+    rref(Matrix(F2, [[1, 1], [0, 1]]))
+    MatSpace(F2, 2, ((1, 0, 0, 0),)).orth()  # the kernel, then its canonical form
+    assert calls == [2, 4, 4]
 
 
 def test_mat_mul_and_vec_match_generic():

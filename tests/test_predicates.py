@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 import random
 
 import pytest
@@ -22,7 +23,7 @@ from matspace import (
     trivial_spectrum,
 )
 from matspace import predicates
-from matspace.errors import BudgetExceeded, ZeroVector
+from matspace.errors import BudgetExceeded, InfiniteField, ZeroVector
 from matspace.matrices import _simple_factor_mod
 from matspace.predicates import FAILS, HOLDS, UNKNOWN, Verdict, _norton_holds
 
@@ -35,6 +36,7 @@ from oracles import (
     non_isotropic_scan_oracle,
     random_invertible,
     random_space,
+    spin_oracle,
     trivial_spectrum_scan_oracle,
 )
 
@@ -42,6 +44,7 @@ F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
 F7 = PrimeField(7)
+F101 = PrimeField(101)
 Q = RationalField()
 
 
@@ -60,6 +63,11 @@ def test_projective_points():
     assert [p.entries for p in pts] == [(1, 0), (1, 1), (1, 2), (0, 1)]
     assert len(list(projective_points(F2, 3))) == 7
     assert len(list(projective_points(F5, 3))) == 31  # (5^3 - 1) / 4
+
+
+def test_projective_points_over_q_raise_infinite_field():
+    with pytest.raises(InfiniteField):
+        next(projective_points(Q, 2))
 
 
 def test_spin_examples():
@@ -109,6 +117,27 @@ def test_spin_result_is_stable_and_contains_start():
             for M in V.basis():
                 for b in sub.vectors():
                     assert sub.contains(M * b)
+
+
+@pytest.mark.parametrize("field", (F2, F3, F101, Q), ids=str)
+def test_spin_matches_oracle(field):
+    # Random spaces, small ones among them so that proper spins occur, and
+    # the transposed basis `_norton_holds` spins under, which is not in RREF.
+    rng = random.Random(27)
+    for n in (1, 2, 3, 4):
+        for _ in range(6 if field is Q else 12):
+            V = random_space(field, n, rng, k=rng.choice([0, 1, 2, rng.randint(0, n * n)]))
+            transposed = tuple(tuple(r[j * n + i] for i in range(n) for j in range(n)) for r in V.rows)
+            for W in (V, MatSpace(field, n, transposed)):
+                if field.is_finite:
+                    v = Vector(field, [rng.randrange(field.cardinality) for _ in range(n)])
+                else:
+                    v = Vector(field, [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)])
+                if v.is_zero:
+                    continue
+                got = spin(W, v)
+                assert got == spin_oracle(W, v)
+                assert got.contains(v)
 
 
 def test_irreducible_examples():

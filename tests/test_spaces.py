@@ -203,6 +203,25 @@ def test_transform_preserves_dimension():
                 assert V.transform(P, mode).dim == V.dim
 
 
+@pytest.mark.parametrize("field", (F2, F3, PrimeField(101), Q), ids=str)
+def test_transform_matches_matrix_products(field):
+    # The products as Matrix objects, spanned: the path before transform
+    # multiplied row lists straight into the canonical elimination.
+    rng = random.Random(16)
+    for n in (1, 2, 3):
+        for _ in range(6):
+            V = random_space(field, n, rng)
+            P, M = random_invertible(field, n, rng), random_matrix(field, n, rng)
+            Pinv = invert(P)
+            cases = [
+                ("conjugate", P, [P * B * Pinv for B in V.basis()]),
+                ("left", M, [M * B for B in V.basis()]),
+                ("right", M, [B * M for B in V.basis()]),
+            ]
+            for mode, T, mats in cases:
+                assert V.transform(T, mode) == MatSpace.span(mats, field=field, n=n)
+
+
 def test_elements_enumeration():
     alt = MatSpace.standard("alt", 2, F3)
     elems = list(alt.elements())
