@@ -17,9 +17,10 @@ run on both engines and share its gates: one entry gate (n >= 1, q, d, cap,
 --heavy), which `subspace_stream` also uses, and the budget bounds on the q^d
 members of a subspace and, when irreducibility is tested, on the
 (q^n - 1)/(q - 1) spin starts of its worst case (Norton's criterion usually
-settles it with two spins, but a reducible space takes the projective scan).  The classification check itself is linear
-algebra: the P with V = P * Alt_n are the invertible members of
-Alt_n.multipliers(V, "left"), so it covers every census q.
+settles it with two spins, but a reducible space takes the projective
+scan).  The classification check itself is linear algebra: the P with
+V = P * Alt_n are the invertible members of Alt_n.multipliers(V, "left"),
+so it covers every census q.
 """
 
 from __future__ import annotations
@@ -101,6 +102,14 @@ class CensusReport:
     elapsed: float = 0.0
     workers: int = 1
     partition: list[int] = dc_field(default_factory=list)
+
+
+def checked_int(name: str, value, least: int | None = 0) -> int:
+    """value if it is an int, not a bool, and at least `least` (None: any int); else InvalidInput."""
+    if isinstance(value, bool) or not isinstance(value, int) or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise InvalidInput(f"{name} must be an integer{bound}, got {value!r}")
+    return value
 
 
 def _gate(n: int, q: int, d: int, cap: int, heavy: bool) -> int:
@@ -262,14 +271,9 @@ def census(
     predicates = normalize_predicates(predicates, keep_order)
     if not predicates:
         raise InvalidInput("census needs at least one predicate")
-    if workers < 1:
-        raise InvalidInput(f"worker count {workers} must be at least 1")
-    if witness_limit < 0:
-        raise InvalidInput(f"witness limit {witness_limit} must not be negative")
-    if budget < 0:
-        raise InvalidInput(f"budget {budget} must not be negative")
-    if cap < 0:
-        raise InvalidInput(f"cap {cap} must not be negative")
+    checked_int("workers", workers, 1)
+    for name, value in (("witness_limit", witness_limit), ("budget", budget), ("cap", cap)):
+        checked_int(name, value)
     if engine not in (None, "bits", "generic"):
         raise InvalidInput(f"unknown census engine {engine!r}")
     total = _gate(n, q, d, cap, heavy)

@@ -20,7 +20,8 @@ splitting above it) and find an irreducible factor of multiplicity 1, for
 the irreducibility test.  Over Q, eigenvalues are the integer roots of L*M's
 char poly divided by L, from a small-prime sieve and Hensel lifting modulo
 a prime, and M is diagonalizable when the product of L*M - rI over those
-roots r is zero.
+roots r is zero.  The same int-list division and gcd, with p = 0 for Q,
+give the squarefree part that the lifting starts from.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Iterable, Sequence
 
 from . import gf2
 from .errors import FieldMismatch, ShapeMismatch, Singular
-from .fields import Field, PrimeField, RationalField, Scalar, is_prime
+from .fields import Field, PrimeField, Scalar, is_prime
 from .polys import Poly
 
 # Root finding mod p scans every residue only up to this prime; larger
@@ -529,10 +530,9 @@ def _derivative(g: list[int]) -> list[int]:
 
 
 def _squarefree_part(g: list[int]) -> list[int]:
-    """g / gcd(g, g'), monic over Z by Gauss's lemma."""
-    G = Poly(RationalField(), g)
-    d = Poly.gcd(G, G.derivative())
-    return g if d.degree == 0 else [c.numerator for c in (G // d).coeffs]
+    """g / gcd(g, g') for a monic g, monic over Z by Gauss's lemma."""
+    d = _gcd_mod(g, _derivative(g), 0)
+    return g if len(d) == 1 else [c.numerator for c in _divmod_mod(g, d, 0)[0]]
 
 
 def _separable_prime(h: list[int]) -> int:
@@ -547,7 +547,8 @@ def _separable_prime(h: list[int]) -> int:
 
 
 # Polynomials over GF(p) as plain int lists, low degree first, canonical
-# residues and no trailing zeros (the zero polynomial is []).
+# residues and no trailing zeros (the zero polynomial is []).  The division
+# and the gcd also take p = 0 for Q, on lists of ints and Fractions.
 
 
 def _trim(f: list[int]) -> list[int]:
@@ -556,27 +557,27 @@ def _trim(f: list[int]) -> list[int]:
     return f
 
 
-def _divmod_mod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of f by a nonzero g over GF(p)."""
+def _divmod_mod(f: list, g: list, p: int) -> tuple[list, list]:
+    """Quotient and remainder of f by a nonzero g over GF(p), or over Q when p = 0."""
     r = list(f)
     dg = len(g) - 1
-    inv = pow(g[-1], -1, p)
+    inv = pow(g[-1], -1, p) if p else 1 / Fraction(g[-1])
     quo = [0] * max(0, len(r) - dg)
     for i in range(len(quo) - 1, -1, -1):
-        c = r[i + dg] * inv % p
+        c = r[i + dg] * inv % p if p else r[i + dg] * inv
         if c:
             quo[i] = c
             for j, x in enumerate(g):
-                r[i + j] = (r[i + j] - c * x) % p
+                r[i + j] = (r[i + j] - c * x) % p if p else r[i + j] - c * x
     return _trim(quo), _trim(r[:dg])
 
 
-def _gcd_mod(f: list[int], g: list[int], p: int) -> list[int]:
-    """Monic gcd over GF(p) of two polynomials, not both zero."""
+def _gcd_mod(f: list, g: list, p: int) -> list:
+    """Monic gcd over GF(p), or over Q when p = 0, of two polynomials, not both zero."""
     while g:
         f, g = g, _divmod_mod(f, g, p)[1]
-    inv = pow(f[-1], -1, p)
-    return [c * inv % p for c in f]
+    inv = pow(f[-1], -1, p) if p else 1 / Fraction(f[-1])
+    return [c * inv % p for c in f] if p else [c * inv for c in f]
 
 
 def _mulmod_mod(f: list[int], g: list[int], m: list[int], p: int) -> list[int]:

@@ -13,7 +13,9 @@ Eigenvalues over GF(p) come from the int char poly (`char_poly_rows`) and the
 one root finder `matrices._roots_mod`.  `spin` keeps its span as RREF rows
 and asks `rref_rows` once per image whether it is new.
 Over the rationals, irreducibility and isotropy are three-valued: Unknown is
-an honest answer and is never silently converted.
+an honest answer and is never silently converted.  A symmetric form is
+proved non-isotropic when it is definite, read from the signs of its
+congruence diagonal in `forms`.
 
 The rational branches of `trivial_spectrum`, `all_diagonalizable` and the
 kernel starts of `irreducible` share one sampler: the basis, then seeded
@@ -34,7 +36,8 @@ from math import gcd
 from typing import Iterator
 
 from .errors import BudgetExceeded, InfiniteField, ZeroVector
-from .fields import Field, Scalar
+from .fields import Field
+from .forms import congruence_diagonalize
 from .matrices import (
     Matrix,
     Vector,
@@ -44,7 +47,6 @@ from .matrices import (
     _simple_factor_mod,
     char_poly_rows,
     clear_denominators,
-    det,
     is_diagonalizable,
     kernel_rows,
     rref_rows,
@@ -289,14 +291,6 @@ def trivial_spectrum(V: MatSpace, budget: int = DEFAULT_BUDGET, seed: int = 0) -
     return Verdict.unknown("infinite field: sampled members only")
 
 
-def _leading_minors(P: Matrix) -> list[Scalar]:
-    out = []
-    for k in range(1, P.nrows + 1):
-        sub = Matrix(P.field, [r[:k] for r in P.rows[:k]])
-        out.append(det(sub))
-    return out
-
-
 def _least_root_in_last(a: int, b: int, c: int, F: Field) -> int | None:
     """The least z in GF(p) with a*z^2 + b*z + c = 0, or None."""
     p = F.cardinality
@@ -321,8 +315,9 @@ def non_isotropic(P: Matrix) -> Verdict:
     last form one prefix, on which X^T P X is a quadratic a*z^2 + b*z + c
     in the last coordinate z; its least root (from `Field.sqrt` for odd p,
     by trying z = 0, 1 for p = 2) is the prefix's first isotropic point.  So
-    n = 2 takes two prefixes and n >= 3 about p^(n-2).  Rationals:
-    definiteness via leading principal minors proves Holds; a zero value on
+    n = 2 takes two prefixes and n >= 3 about p^(n-2).  Rationals: a
+    symmetric P whose congruence diagonal (`forms.congruence_diagonalize`)
+    has entries of one sign is definite, which proves Holds; a zero value on
     small integer vectors proves Fails; otherwise Unknown.
     """
     P._need_square()
@@ -343,11 +338,9 @@ def non_isotropic(P: Matrix) -> Verdict:
             return Verdict.fails(Vector.basis(F, n, n - 1))
         return Verdict.holds()
     if P.is_symmetric:
-        minors = _leading_minors(P)
-        if all(m > 0 for m in minors):
-            return Verdict.holds()
-        # signs alternating starting negative: negative definite
-        if all(m != 0 and (m < 0) == (k % 2 == 0) for k, m in enumerate(minors)):
+        # Sylvester's law of inertia: P is definite exactly when its congruence D is.
+        d = congruence_diagonalize(P)[1].diagonal_entries()
+        if all(x > 0 for x in d) or all(x < 0 for x in d):
             return Verdict.holds()
     for tail in itertools.product(range(-5, 6), repeat=n):
         if all(t == 0 for t in tail):

@@ -2,10 +2,11 @@
 
 Given a subspace V of Mat_n(F) of dimension n(n+1)/2, the pipeline solves for
 an invertible symmetrizer P (M*P symmetric for every M in V, so V*P = Sym_n),
-congruence-diagonalizes P, normalizes the diagonal into a single square class,
-and assembles an invertible S with V = S * Sym_n * S^-1 — or stops with a
-staged failure.  A square-class failure over a finite field is a result, not
-an error: it yields a constructive non-diagonalizable member of V.
+congruence-diagonalizes P and normalizes the diagonal into a single square
+class (the form functions live in `forms`; this module re-exports them), and
+assembles an invertible S with V = S * Sym_n * S^-1 — or stops with a staged
+failure.  A square-class failure over a finite field is a result, not an
+error: it yields a constructive non-diagonalizable member of V.
 
 Hypothesis checks along the way (identity membership, irreducibility and
 trivial spectrum of the trace-orthogonal complement, non-isotropy of P) are
@@ -18,24 +19,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 
-from .errors import (
-    Char2AlternatingResidual,
-    NoInvertibleSolution,
-    NotSymmetric,
-    ShapeMismatch,
-    SquareClassNotViolated,
-    ZeroDiagonalEntry,
-)
+from .errors import Char2AlternatingResidual, NoInvertibleSolution, ShapeMismatch
 from .fields import Scalar
+from .forms import ScaleNormalization, _single_class_rediagonalize, congruence_diagonalize  # noqa: F401
+from .forms import nondiag_witness, square_class_normalize
 from .matrices import Matrix, _matmul, invert, is_diagonalizable, kernel_rows, rref_rows
-from .predicates import (
-    FAILS,
-    UNKNOWN,
-    Verdict,
-    irreducible,
-    non_isotropic,
-    trivial_spectrum,
-)
+from .predicates import FAILS, UNKNOWN, Verdict, irreducible, non_isotropic, trivial_spectrum
 from .spaces import DEFAULT_BUDGET, MatSpace, _canonical
 
 SUCCESS = "success"
@@ -76,17 +65,6 @@ class RecoveryReport:
             if s.name == name:
                 return s.verdict
         return None
-
-
-@dataclass
-class ScaleNormalization:
-    scales: list | None
-    c: Scalar | None
-    offending_index: int | None
-
-    @property
-    def ok(self) -> bool:
-        return self.scales is not None
 
 
 @dataclass
@@ -169,183 +147,6 @@ def solve_symmetrizer(V: MatSpace, budget: int = DEFAULT_BUDGET) -> tuple[MatSpa
         "bounded search over integer combinations found no invertible solution",
         exhaustive=False,
     )
-
-
-def congruence_diagonalize(P: Matrix) -> tuple[Matrix, Matrix]:
-    """Invertible Q and diagonal D with Q * P * Q^T = D, exactly.
-
-    Symmetric elimination: swap a nonzero diagonal entry into the pivot; when
-    the whole residual diagonal vanishes but an off-diagonal entry survives,
-    characteristic != 2 repairs it by the replacement e_i <- e_i + e_j
-    (creating the diagonal entry 2*P_ij).  In characteristic 2 the repair does
-    not exist and the elimination fails; a non-isotropic input never gets there.
-    """
-    P._need_square()
-    if not P.is_symmetric:
-        raise NotSymmetric("congruence diagonalization needs a symmetric matrix")
-    F = P.field
-    n = P.nrows
-    A = [list(r) for r in P.rows]
-    Q = [list(r) for r in Matrix.identity(F, n).rows]
-
-    def add_multiple(i, j, f):
-        # row_i += f * row_j, then the matching column operation
-        A[i] = [F.add(a, F.mul(f, b)) for a, b in zip(A[i], A[j])]
-        for r in range(n):
-            A[r][i] = F.add(A[r][i], F.mul(f, A[r][j]))
-        Q[i] = [F.add(a, F.mul(f, b)) for a, b in zip(Q[i], Q[j])]
-
-    def swap(i, j):
-        A[i], A[j] = A[j], A[i]
-        for r in range(n):
-            A[r][i], A[r][j] = A[r][j], A[r][i]
-        Q[i], Q[j] = Q[j], Q[i]
-
-    for k in range(n):
-        if A[k][k] == 0:
-            pivot = next((j for j in range(k + 1, n) if A[j][j] != 0), None)
-            if pivot is not None:
-                swap(k, pivot)
-            else:
-                off = next(
-                    (
-                        (i, j)
-                        for i in range(k, n)
-                        for j in range(i + 1, n)
-                        if A[i][j] != 0
-                    ),
-                    None,
-                )
-                if off is None:
-                    break  # residual block is zero; already diagonal
-                if F.characteristic == 2:
-                    raise Char2AlternatingResidual(
-                        "zero-diagonal nonzero residual in characteristic 2"
-                    )
-                i, j = off
-                add_multiple(i, j, F.one())  # diagonal entry becomes 2*A[i][j]
-                if i != k:
-                    swap(k, i)
-        inv_p = F.inv(A[k][k])
-        for i in range(k + 1, n):
-            if A[i][k] != 0:
-                add_multiple(i, k, F.neg(F.mul(A[i][k], inv_p)))
-
-    D = Matrix.diagonal(F, [A[i][i] for i in range(n)])
-    Qm = Matrix(F, Q)
-    if Qm * P * Qm.transpose() != D:
-        raise AssertionError("congruence elimination lost exactness")
-    return Qm, D
-
-
-def square_class_normalize(D: Matrix) -> ScaleNormalization:
-    """Scales with diag(mu) * D * diag(mu) = d_1 * I when every d_i/d_1 is a square.
-
-    Returns the scales and c = d_1, or the first offending 0-based index when
-    some ratio is a non-square.
-    """
-    D._need_square()
-    F = D.field
-    d = D.diagonal_entries()
-    for i, di in enumerate(d):
-        if di == 0:
-            raise ZeroDiagonalEntry(i)
-    scales = [F.one()]
-    for i in range(1, len(d)):
-        ratio = F.div(d[0], d[i])
-        root = F.sqrt(ratio)
-        if root is None:
-            return ScaleNormalization(None, None, i)
-        scales.append(root)
-    c = d[0]
-    for mu, di in zip(scales, d):
-        if F.mul(F.mul(mu, mu), di) != c:
-            raise AssertionError("square-class scaling lost exactness")
-    return ScaleNormalization(scales, c, None)
-
-
-def nondiag_witness(P_diag: Matrix, i: int) -> Matrix:
-    """Constructive falsifier for a violated square class (0-based index i >= 1).
-
-    Returns (E_{1,i+1} + E_{i+1,1}) * P_diag^-1, whose characteristic
-    polynomial is t^(n-2) * (t^2 - r) with r = d_i^-1 * d_1^-1 a non-square,
-    hence not diagonalizable over a finite field.
-    """
-    P_diag._need_square()
-    F = P_diag.field
-    n = P_diag.nrows
-    if not 1 <= i < n:
-        raise ShapeMismatch(f"index {i} outside 1..{n - 1}")
-    d = P_diag.diagonal_entries()
-    if d[0] == 0:
-        raise ZeroDiagonalEntry(0)
-    if d[i] == 0:
-        raise ZeroDiagonalEntry(i)
-    r = F.mul(F.inv(d[i]), F.inv(d[0]))
-    if F.is_square(r):
-        raise SquareClassNotViolated(f"d_{i+1}^-1 * d_1^-1 = {r} is a square")
-    M = Matrix.unit(F, n, 0, i) * F.inv(d[i]) + Matrix.unit(F, n, i, 0) * F.inv(d[0])
-    from .matrices import char_poly
-    from .polys import Poly
-
-    expected = Poly(F, [F.neg(r), F.zero(), F.one()]).shift(n - 2)
-    if char_poly(M) != expected:
-        raise AssertionError("witness characteristic polynomial mismatch")
-    return M
-
-
-def _single_class_rediagonalize(D: Matrix):
-    """Congruence R with R * D * R^T diagonal in one square class, or None.
-
-    Over a finite field of odd characteristic, D is congruent to a scalar
-    multiple of the identity iff n is odd (target class: the discriminant) or
-    the discriminant is a square (n even).  Mismatched diagonal entries come
-    in pairs and every binary diagonal form represents each nonzero value, so
-    one 2x2 congruence repairs two entries at a time.
-    """
-    F = D.field
-    n = D.nrows
-    d = D.diagonal_entries()
-    disc = F.one()
-    for di in d:
-        disc = F.mul(disc, di)
-    if n % 2 == 0:
-        if not F.is_square(disc):
-            return None
-        tau = d[0]
-    else:
-        tau = next(di for di in d if F.is_square(F.mul(di, disc)))
-    mismatched = [i for i, di in enumerate(d) if not F.is_square(F.mul(di, tau))]
-    if len(mismatched) % 2 != 0:
-        raise AssertionError("odd number of square-class mismatches")
-    R = Matrix.identity(F, n)
-    values = list(d)
-    for a, b in zip(mismatched[0::2], mismatched[1::2]):
-        da, db = values[a], values[b]
-        found = None
-        for x in range(F.cardinality):
-            xs = F.coerce(x)
-            rhs = F.div(F.sub(tau, F.mul(da, F.mul(xs, xs))), db)
-            y = F.sqrt(rhs)
-            if y is not None:
-                found = (xs, y)
-                break
-        if found is None:
-            raise AssertionError("binary form failed to represent the target value")
-        x, y = found
-        rows = [list(r) for r in Matrix.identity(F, n).rows]
-        rows[a][a] = x
-        rows[a][b] = y
-        rows[b][a] = F.neg(F.mul(db, y))
-        rows[b][b] = F.mul(da, x)
-        T = Matrix(F, rows)
-        R = T * R
-        values[a] = tau
-        values[b] = F.mul(F.mul(da, db), tau)
-    D2 = Matrix.diagonal(F, values)
-    if R * D * R.transpose() != D2:
-        raise AssertionError("square-class repair lost exactness")
-    return R, D2
 
 
 def block_decompose(V: MatSpace) -> BlockMaps:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 
 from ._version import __version__
-from .census import CensusReport, census, max_diag_dim, verify_classification
+from .census import CensusReport, census, checked_int, max_diag_dim, verify_classification
 from .errors import InvalidInput
 from .fields import Field, make_field
 from .matrices import Matrix, Vector, is_diagonalizable
@@ -338,13 +338,9 @@ def classification_result(res: dict) -> dict:
 # -- verification ------------------------------------------------------------------
 
 
-def _int_param(params: dict, key: str, nonnegative: bool = True) -> int:
-    """params[key] checked as an int (not a bool), nonnegative for a budget or cap."""
-    value = params[key]
-    if isinstance(value, bool) or not isinstance(value, int) or (nonnegative and value < 0):
-        kind = "a nonnegative integer" if nonnegative else "an integer"
-        raise InvalidInput(f"report {key} must be {kind}, got {value!r}")
-    return value
+def _int_param(params: dict, key: str, least: int | None = 0) -> int:
+    """params[key] checked as an int (not a bool), at least `least` unless it is None."""
+    return checked_int(f"report {key}", params[key], least)
 
 
 def _recompute(report: dict, workers: int, heavy: bool) -> dict:
@@ -353,7 +349,7 @@ def _recompute(report: dict, workers: int, heavy: bool) -> dict:
     r = report.get("result")
     if kind in ("analyze", "recovery"):
         V = space_from_json(report["input"])
-        budget, seed = _int_param(report, "budget"), _int_param(report, "seed", False)
+        budget, seed = _int_param(report, "budget"), _int_param(report, "seed", None)
         if kind == "analyze":
             return analyze_result(V, budget, seed)
         return recovery_result(recover(V, budget, seed))
@@ -361,6 +357,8 @@ def _recompute(report: dict, workers: int, heavy: bool) -> dict:
         raise InvalidInput(f"unknown report type {kind!r}")
     bounds = r if kind == "census" else report  # a census report keeps them in its result
     budget, cap = _int_param(bounds, "budget"), _int_param(bounds, "cap")
+    for key in ("n", "q", "d", "witness_limit") if kind == "census" else ("n", "q"):
+        _int_param(r, key)
     if kind == "max_diag_dim":
         d_max, witness = max_diag_dim(r["n"], r["q"], budget, cap, heavy)
         return max_diag_dim_result(r["n"], r["q"], d_max, witness)
@@ -385,9 +383,10 @@ def _recompute(report: dict, workers: int, heavy: bool) -> dict:
 def verify_report(report: dict, workers: int = 1, heavy: bool = False) -> tuple[bool, list]:
     """Re-run the embedded computation and re-check the transcript.
 
-    Returns (ok, details).  Raises InvalidInput on a budget, cap or seed that
-    is not an int, or a negative bound, and CapExceeded/BudgetExceeded when
-    gating prevents the re-run (the caller maps each to its exit code).
+    Returns (ok, details).  Raises InvalidInput on a budget, cap, seed, n, q,
+    d or witness limit that is not an int (a bool is not), or is out of range,
+    and CapExceeded/BudgetExceeded when gating prevents the re-run (the caller
+    maps each to its exit code).
     """
     if not isinstance(report, dict) or "type" not in report:
         raise InvalidInput("report JSON needs a 'type'")

@@ -495,3 +495,123 @@ def least_nonzero_root_oracle(chi: list, p: int) -> int:
         if v % p == 0:
             return lam
     return 0
+
+
+# -- quadratic forms on field methods ------------------------------------------
+# The form code of `recovery` before it moved to native numbers in `forms`,
+# and the two checks it replaced: Sylvester's leading-minor criterion and the
+# squarefree part through Poly.gcd.
+
+
+def congruence_diagonalize_field_ops_oracle(P):
+    """(Q, D) with Q * P * Q^T = D, by symmetric elimination on field methods."""
+    from matspace.errors import Char2AlternatingResidual
+
+    F = P.field
+    n = P.nrows
+    A = [list(r) for r in P.rows]
+    Q = [list(r) for r in Matrix.identity(F, n).rows]
+
+    def add_multiple(i, j, f):
+        A[i] = [F.add(a, F.mul(f, b)) for a, b in zip(A[i], A[j])]
+        for r in range(n):
+            A[r][i] = F.add(A[r][i], F.mul(f, A[r][j]))
+        Q[i] = [F.add(a, F.mul(f, b)) for a, b in zip(Q[i], Q[j])]
+
+    def swap(i, j):
+        A[i], A[j] = A[j], A[i]
+        for r in range(n):
+            A[r][i], A[r][j] = A[r][j], A[r][i]
+        Q[i], Q[j] = Q[j], Q[i]
+
+    for k in range(n):
+        if A[k][k] == 0:
+            pivot = next((j for j in range(k + 1, n) if A[j][j] != 0), None)
+            if pivot is not None:
+                swap(k, pivot)
+            else:
+                off = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if A[i][j] != 0), None)
+                if off is None:
+                    break
+                if F.characteristic == 2:
+                    raise Char2AlternatingResidual("zero-diagonal nonzero residual in characteristic 2")
+                i, j = off
+                add_multiple(i, j, F.one())
+                if i != k:
+                    swap(k, i)
+        inv_p = F.inv(A[k][k])
+        for i in range(k + 1, n):
+            if A[i][k] != 0:
+                add_multiple(i, k, F.neg(F.mul(A[i][k], inv_p)))
+    return Matrix(F, Q), Matrix.diagonal(F, [A[i][i] for i in range(n)])
+
+
+def square_class_normalize_field_ops_oracle(D):
+    """(scales, c, offending index) for a diagonal D with no zero entry."""
+    F = D.field
+    d = D.diagonal_entries()
+    scales = [F.one()]
+    for i in range(1, len(d)):
+        root = F.sqrt(F.div(d[0], d[i]))
+        if root is None:
+            return None, None, i
+        scales.append(root)
+    return scales, d[0], None
+
+
+def nondiag_witness_field_ops_oracle(D, i):
+    """(E_{1,i+1} + E_{i+1,1}) * D^-1 for a diagonal D."""
+    F = D.field
+    d = D.diagonal_entries()
+    n = D.nrows
+    return Matrix.unit(F, n, 0, i) * F.inv(d[i]) + Matrix.unit(F, n, i, 0) * F.inv(d[0])
+
+
+def single_class_rediagonalize_field_ops_oracle(D):
+    """(R, D2) with R * D * R^T = D2 diagonal in one square class, or None (odd p)."""
+    F = D.field
+    n = D.nrows
+    d = D.diagonal_entries()
+    disc = F.one()
+    for di in d:
+        disc = F.mul(disc, di)
+    if n % 2 == 0:
+        if not F.is_square(disc):
+            return None
+        tau = d[0]
+    else:
+        tau = next(di for di in d if F.is_square(F.mul(di, disc)))
+    mismatched = [i for i, di in enumerate(d) if not F.is_square(F.mul(di, tau))]
+    R = Matrix.identity(F, n)
+    values = list(d)
+    for a, b in zip(mismatched[0::2], mismatched[1::2]):
+        da, db = values[a], values[b]
+        for x in F.elements():
+            y = F.sqrt(F.div(F.sub(tau, F.mul(da, F.mul(x, x))), db))
+            if y is not None:
+                break
+        rows = [list(r) for r in Matrix.identity(F, n).rows]
+        rows[a][a], rows[a][b] = x, y
+        rows[b][a], rows[b][b] = F.neg(F.mul(db, y)), F.mul(da, x)
+        R = Matrix(F, rows) * R
+        values[a] = tau
+        values[b] = F.mul(F.mul(da, db), tau)
+    return R, Matrix.diagonal(F, values)
+
+
+def definite_by_minors_oracle(P) -> bool:
+    """Sylvester's criterion over Q: the leading principal minors are all
+    positive, or alternate in sign starting negative."""
+    minors = [det_oracle(Matrix(P.field, [r[:k] for r in P.rows[:k]])) for k in range(1, P.nrows + 1)]
+    if all(m > 0 for m in minors):
+        return True
+    return all(m != 0 and (m < 0) == (k % 2 == 0) for k, m in enumerate(minors))
+
+
+def squarefree_part_oracle(g: list) -> list:
+    """g / gcd(g, g') for a monic integer g, through Poly over Q."""
+    from matspace import RationalField
+
+    G = Poly(RationalField(), g)
+    d = Poly.gcd(G, G.derivative())
+    return g if d.degree == 0 else [c.numerator for c in (G // d).coeffs]

@@ -195,6 +195,20 @@ def test_census_rejects_unknown_engine_and_bad_counts():
     assert census(2, 2, 1, ["diag"], witness_limit=0).witnesses == {"all_diagonalizable": []}
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"cap": 1.5}, {"cap": True}, {"witness_limit": 1.5},
+        {"budget": 2.5}, {"workers": True}, {"workers": 2.0},
+    ],
+)
+def test_census_rejects_counts_that_are_not_ints(kwargs):
+    # Before, cap=1.5 raised AttributeError, witness_limit=1.5 TypeError, and
+    # the others ran (cap=True as cap 1).
+    with pytest.raises(InvalidInput, match="must be an integer"):
+        census(2, 2, 1, ["diag"], **kwargs)
+
+
 def test_census_budget_bounds_irreducible_starts_on_both_engines():
     # 7 projective points of F_2^3 to spin from: a budget of 4 is too small,
     # 7 is enough, whichever engine runs

@@ -35,6 +35,16 @@ def run(capsys, *argv):
     return code, (json.loads(out) if out.strip() else None)
 
 
+def read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def write_json(path, obj):
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+
+
 def test_recover_success_exit0(capsys, sym3_path, tmp_path):
     out_path = str(tmp_path / "report.json")
     code, report = run(
@@ -42,7 +52,7 @@ def test_recover_success_exit0(capsys, sym3_path, tmp_path):
     )
     assert code == 0
     assert report["result"]["status"] == "success"
-    assert json.loads(open(out_path).read()) == report
+    assert read_json(out_path) == report
 
 
 def test_recover_witness_exit1(capsys, scaled_path):
@@ -238,9 +248,9 @@ def test_negative_budget_or_cap_exit2(capsys, sym3_path, argv):
 def test_verify_rejects_negative_census_bounds(capsys, tmp_path, key):
     out = str(tmp_path / "census.json")
     run(capsys, "census", "--n", "2", "--q", "2", "--d", "1", "--pred", "diag", "--output", out)
-    report = json.loads(open(out).read())
+    report = read_json(out)
     report["result"][key] = -1
-    open(out, "w").write(json.dumps(report))
+    write_json(out, report)
     code, _ = run(capsys, "verify", "--input", out)
     assert code == 2
 
@@ -276,19 +286,44 @@ def test_verify_rejects_a_malformed_budget_cap_or_seed(
     if argv[0] != "census":
         argv = [argv[0], "--input", scaled_path]
     run(capsys, *argv, "--output", out)
-    report = json.loads(open(out).read())
+    report = read_json(out)
     (report["result"] if in_result else report)[key] = value
-    open(out, "w").write(json.dumps(report))
+    write_json(out, report)
     code, summary = run(capsys, "verify", "--input", out)
     assert code == 2 and summary is None
+
+
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        (CENSUS_ARGV, "n", True),
+        (CENSUS_ARGV, "n", "2"),
+        (CENSUS_ARGV, "q", 2.0),
+        (CENSUS_ARGV, "d", 1.0),
+        (CENSUS_ARGV, "witness_limit", 2.5),
+        (CENSUS_ARGV, "witness_limit", False),
+        (MAXDIM_ARGV, "n", True),
+        (CLASSIFY_ARGV, "q", True),
+    ],
+)
+def test_verify_rejects_a_malformed_size_or_witness_limit(capsys, tmp_path, argv, key, value):
+    out = str(tmp_path / "report.json")
+    run(capsys, *argv, "--output", out)
+    report = read_json(out)
+    report["result"][key] = value
+    write_json(out, report)
+    code = main(["verify", "--input", out])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert f"report {key} must be an integer" in captured.err
 
 
 def test_verify_rejects_unknown_engine(capsys, tmp_path):
     out = str(tmp_path / "census.json")
     run(capsys, "census", "--n", "2", "--q", "2", "--d", "1", "--pred", "diag", "--output", out)
-    report = json.loads(open(out).read())
+    report = read_json(out)
     report["result"]["engine"] = "turbo"
-    open(out, "w").write(json.dumps(report))
+    write_json(out, report)
     code, _ = run(capsys, "verify", "--input", out)
     assert code == 2
 
@@ -330,9 +365,9 @@ def test_verify_roundtrip_all_report_types(capsys, tmp_path, sym3_path, scaled_p
 def test_verify_detects_tampering(capsys, tmp_path, sym3_path):
     out = str(tmp_path / "rep.json")
     run(capsys, "recover", "--input", sym3_path, "--output", out)
-    report = json.loads(open(out).read())
+    report = read_json(out)
     report["result"]["status"] = "failure"
-    open(out, "w").write(json.dumps(report))
+    write_json(out, report)
     code, summary = run(capsys, "verify", "--input", out)
     assert code == 1
     assert not summary["ok"]
@@ -360,7 +395,8 @@ def test_census_csv(capsys, tmp_path):
         "--csv", csv_path,
     )
     assert code == 1
-    lines = open(csv_path).read().strip().splitlines()
+    with open(csv_path) as fh:
+        lines = fh.read().strip().splitlines()
     assert lines[0] == "n,q,d,predicate,count,total"
     assert lines[1] == "2,2,3,all_diagonalizable,0,15"
 

@@ -310,6 +310,9 @@ FROZEN_Q_RECOVERY = {
     "conj2a": "b166a180ff8ec97ffbdfdcc6400648bcd92a9fcb85659042cddcea6d1f5298a4",
     "conj2b": "2e58e3d6f54cd98c180e31de88b61b3b1af9cb3735164103222672c4c813ad10",
     "conj3": "3c7f6d1c7f645070b47c3c8becb85a5ac652aee18ae4b8b67f2c9fab130afcd2",
+    # Indefinite symmetrizers: non_isotropic finds a small isotropic vector.
+    "indef2": "51e198ab2e4422a7e747905dc188f07d8e584c2b9d492317f3bec03afc336c61",
+    "indef3": "594cdfef12b0561514ee84b3b6390956f6f827b2b820512b9b55738ea56920b3",
     "orth_eig": "06a44a62d0ff1bd25c6614d73619b73699327b1441c3ae85e432caea30e25481",
 }
 
@@ -322,6 +325,9 @@ def frozen_q_input(name):
         return sym(2).conjugate(Matrix(Q, [[0, 1], [1, 1]]))
     if name == "conj3":
         return sym(3).conjugate(Matrix(Q, [[1, 0, -1], [1, 1, 0], [0, -1, 1]]))
+    if name.startswith("indef"):  # Sym_n * P^-1 with P = diag(1, -1) or diag(1, 2, -3)
+        P = Matrix.diagonal(Q, [1, -1] if name == "indef2" else [1, 2, -3])
+        return sym(P.nrows).transform(invert(P), "right")
     # V-perp is spanned by a matrix with eigenvalues -1 and 2.
     return MatSpace.span([Matrix(Q, [[0, 1], [2, 1]])]).orth()
 
