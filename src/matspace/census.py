@@ -33,7 +33,7 @@ from dataclasses import dataclass, field as dc_field
 
 from . import gf2
 from ._version import __version__
-from .errors import BudgetExceeded, CapExceeded, InvalidInput
+from .errors import BudgetExceeded, CapExceeded, InvalidInput, checked_int
 from .fields import PrimeField
 # _holds looks all_diagonalizable, irreducible and trivial_spectrum up by name.
 from .predicates import HOLDS, all_diagonalizable, irreducible, non_isotropic, trivial_spectrum  # noqa: F401
@@ -104,22 +104,13 @@ class CensusReport:
     partition: list[int] = dc_field(default_factory=list)
 
 
-def checked_int(name: str, value, least: int | None = 0) -> int:
-    """value if it is an int, not a bool, and at least `least` (None: any int); else InvalidInput."""
-    if isinstance(value, bool) or not isinstance(value, int) or (least is not None and value < least):
-        bound = "" if least is None else f" >= {least}"
-        raise InvalidInput(f"{name} must be an integer{bound}, got {value!r}")
-    return value
-
-
 def _gate(n: int, q: int, d: int, cap: int, heavy: bool) -> int:
     """Reject malformed sizes and oversized runs; return the subspace count."""
-    if n < 1:
-        raise InvalidInput(f"matrix size {n} must be at least 1")
-    if q not in SUPPORTED_Q:
+    checked_int("matrix size n", n, 1)
+    if checked_int("q", q, None) not in SUPPORTED_Q:
         raise InvalidInput(f"census supports q in {SUPPORTED_Q}, got {q}")
     m = n * n
-    if d > m or d < 0:
+    if checked_int("dimension d", d) > m:
         raise InvalidInput(f"dimension {d} outside 0..{m}")
     # [m, d]_q >= q^(d(m-d)) >= 2^k, so a limit of at most k bits is exceeded
     # without the exact count, which takes minutes to compute at n = 100.
@@ -352,6 +343,7 @@ def max_diag_dim(
     census's first, so the canonical enumeration order makes it deterministic.
     The zero space (d = 0) always qualifies, so the scan ends in a return.
     """
+    checked_int("matrix size n", n, 1)  # before n sizes the scan
     for d in range(n * (n + 1) // 2, -1, -1):
         rep = census(n, q, d, ["diag"], budget, cap, witness_limit=1, heavy=heavy)
         found = rep.witnesses["all_diagonalizable"]

@@ -99,3 +99,11 @@ class ZeroDiagonalEntry(MatSpaceError):
 
 class InvalidInput(MatSpaceError):
     """Malformed JSON input or inconsistent CLI flags."""
+
+
+def checked_int(name: str, value, least: int | None = 0) -> int:
+    """value if it is an int, not a bool, and at least `least` (None: any int); else InvalidInput."""
+    if isinstance(value, bool) or not isinstance(value, int) or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise InvalidInput(f"{name} must be an integer{bound}, got {value!r}")
+    return value

@@ -20,7 +20,7 @@ from .errors import Char2AlternatingResidual, NotSymmetric, ShapeMismatch
 from .errors import SquareClassNotViolated, ZeroDiagonalEntry
 from .fields import Scalar
 from .matrices import Matrix, _matmul, char_poly
-from .polys import Poly
+from .polys import Poly, _inv
 
 
 @dataclass
@@ -32,11 +32,6 @@ class ScaleNormalization:
     @property
     def ok(self) -> bool:
         return self.scales is not None
-
-
-def _inv(a, p: int):
-    """1 / a: a residue mod p, or a Fraction when p = 0."""
-    return pow(a, -1, p) if p else 1 / a
 
 
 def congruence_diagonalize(P: Matrix) -> tuple[Matrix, Matrix]:

@@ -10,17 +10,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 
-def pack_rows(rows: list[list[int]], ncols: int) -> list[int]:
-    out = []
-    for r in rows:
-        b = 0
-        for j in range(ncols):
-            if r[j] & 1:
-                b |= 1 << j
-        out.append(b)
-    return out
-
-
 def unpack_row(bits: int, ncols: int) -> list[int]:
     return [(bits >> j) & 1 for j in range(ncols)]
 

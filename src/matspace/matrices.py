@@ -11,35 +11,24 @@ product and linear combination goes through the one kernel `_matmul`.
 
 Char polys come from one division-free Berkowitz on plain ints
 (`char_poly_rows`): over GF(p) on the canonical residues, reduced mod p;
-over Q on L*M, L the lcm of the denominators.  `rref_rows`, the one
-elimination, packs GF(2) rows for `gf2.rref_bits`.  Over GF(p) elimination
-and the diagonalizability test (M^p = M) run on plain ints mod p, and small
-helpers on int coefficient lists compute gcds and powers, find the roots
-(`_roots_mod`: a scan up to SCAN_LIMIT, gcd with t^p - t and seeded
-splitting above it) and find an irreducible factor of multiplicity 1, for
-the irreducibility test.  Over Q, eigenvalues are the integer roots of L*M's
-char poly divided by L, from a small-prime sieve and Hensel lifting modulo
-a prime, and M is diagonalizable when the product of L*M - rI over those
-roots r is zero.  The same int-list division and gcd, with p = 0 for Q,
-give the squarefree part that the lifting starts from.
+over Q on L*M, L the lcm of the denominators.  `rref_rows` is the one
+elimination, on plain ints mod p or on Fractions.  Over GF(p) M is
+diagonalizable when M^p = M, and its eigenvalues are the roots that
+`polys._roots_mod` finds.  Over Q, eigenvalues are the integer roots
+(`polys._integer_roots`) of L*M's char poly divided by L, and M is
+diagonalizable when the product of L*M - rI over those roots r is zero.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from math import lcm
 from operator import add, mul, sub
 from typing import Iterable, Sequence
 
-from . import gf2
 from .errors import FieldMismatch, ShapeMismatch, Singular
-from .fields import Field, PrimeField, Scalar, is_prime
-from .polys import Poly
-
-# Root finding mod p scans every residue only up to this prime; larger
-# primes use the gcd/splitting path.
-SCAN_LIMIT = 10**4
+from .fields import Field, PrimeField, Scalar
+from .polys import Poly, _integer_roots, _inv, _linear_part_mod, _roots_mod
 
 
 class Vector:
@@ -269,18 +258,14 @@ class Matrix:
 def rref_rows(field: Field, rows: Iterable) -> tuple[list, list[int]]:
     """RREF of a copy of the coefficient rows; returns (rows, pivot columns).
 
-    The one row reduction, dispatched per field.  GF(2) rows are packed into
-    int bitsets for `gf2.rref_bits`, other GF(p) rows run on plain ints mod
-    p, and Q rows on the Fractions (or ints) themselves.  The pivot is
-    inverted by the field, as Q rows may hold ints and 1 / int is a float.
+    The one row reduction: GF(p) rows run on plain ints mod p, and Q rows on
+    the Fractions (or ints) themselves, so a Q pivot is inverted as
+    1 / Fraction(x), never 1 / int, which is a float.
     """
     rows = [list(r) for r in rows]
     p = field.p if isinstance(field, PrimeField) else 0
     m = len(rows)
     ncols = len(rows[0]) if m else 0
-    if p == 2:
-        packed, pivots = gf2.rref_bits(gf2.pack_rows(rows, ncols), ncols)
-        return [gf2.unpack_row(b, ncols) for b in packed], pivots
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -292,7 +277,7 @@ def rref_rows(field: Field, rows: Iterable) -> tuple[list, list[int]]:
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][c], -1, p) if p else field.inv(rows[r][c])
+        inv = _inv(rows[r][c], p)
         if inv != 1:
             rows[r] = [inv * v % p for v in rows[r]] if p else [inv * v for v in rows[r]]
         prow = rows[r]
@@ -365,10 +350,8 @@ def invert(M: Matrix) -> Matrix:
 def det(M: Matrix) -> Scalar:
     """Determinant, read off the characteristic polynomial's constant term."""
     M._need_square()
-    F = M.field
-    chi = char_poly(M)
-    c0 = chi.eval(F.zero())
-    return F.neg(c0) if M.nrows % 2 else c0
+    c0 = char_poly(M).coeffs[0]
+    return M.field.coerce(-c0 if M.nrows % 2 else c0)
 
 
 # -- characteristic and minimal polynomials ---------------------------------
@@ -449,8 +432,7 @@ def min_poly(M: Matrix) -> Poly:
         coeffs = solve_columns(F, vecs, target)
         if coeffs is not None:
             # t^k - sum_i coeffs[i] t^i
-            cs = [F.neg(c) for c in coeffs] + [F.one()]
-            return Poly(F, cs)
+            return Poly(F, [-c for c in coeffs] + [1])
         vecs.append(target)
     raise AssertionError("no dependency up to degree n; Cayley-Hamilton violated")
 
@@ -483,194 +465,6 @@ def clear_denominators(rows) -> tuple[int, list[list[int]]]:
     """L, the lcm of every entry's denominator, and the integer rows of L * rows."""
     L = lcm(*(x.denominator for r in rows for x in r))
     return L, [[x.numerator * (L // x.denominator) for x in r] for r in rows]
-
-
-# A polynomial without a root modulo one of these has no nonzero integer root.
-_SIEVE_PRIMES = (3, 5, 7, 11, 13)
-
-
-def _integer_roots(g: list[int]) -> list[int]:
-    """Distinct integer roots, ascending, of a monic integer polynomial (low degree first).
-
-    Zero roots are pulled off first, and the sieve rejects most of the rest.
-    Every other root r has |r| <= B, the Cauchy bound.  The roots of the
-    squarefree part h modulo a prime p where h stays squarefree are simple,
-    so each lifts uniquely (Hensel) to a root modulo p^k > 2B; the centred
-    residues that pass an exact check are the integer roots.
-    """
-    k = 0
-    while g[k] == 0:
-        k += 1
-    roots = [0] if k else []
-    g = g[k:]
-    if len(g) == 1 or not all(_roots_mod(g, p) for p in _SIEVE_PRIMES):
-        return roots
-    h = _squarefree_part(g)
-    bound = 1 + max(abs(c) for c in h[:-1])
-    p = _separable_prime(h)
-    dh = _derivative(h)
-    lifted, m = _roots_mod(h, p), p
-    while m <= 2 * bound:
-        # Newton step: a root mod m becomes the unique root mod m^2 above it.
-        lifted = [(r - _horner(h, r) * pow(_horner(dh, r), -1, m)) % (m * m) for r in lifted]
-        m *= m
-    centred = (r if 2 * r <= m else r - m for r in lifted)
-    return sorted(roots + [r for r in centred if _horner(g, r) == 0])
-
-
-def _horner(g: list[int], x: int) -> int:
-    out = 0
-    for c in reversed(g):
-        out = out * x + c
-    return out
-
-
-def _derivative(g: list[int]) -> list[int]:
-    return [i * c for i, c in enumerate(g)][1:]
-
-
-def _squarefree_part(g: list[int]) -> list[int]:
-    """g / gcd(g, g') for a monic g, monic over Z by Gauss's lemma."""
-    d = _gcd_mod(g, _derivative(g), 0)
-    return g if len(d) == 1 else [c.numerator for c in _divmod_mod(g, d, 0)[0]]
-
-
-def _separable_prime(h: list[int]) -> int:
-    """The smallest prime modulo which the squarefree monic h stays squarefree."""
-    p = 2
-    while True:
-        if is_prime(p):
-            dh = _trim([c % p for c in _derivative(h)])
-            if dh and len(_gcd_mod([c % p for c in h], dh, p)) == 1:
-                return p
-        p += 1
-
-
-# Polynomials over GF(p) as plain int lists, low degree first, canonical
-# residues and no trailing zeros (the zero polynomial is []).  The division
-# and the gcd also take p = 0 for Q, on lists of ints and Fractions.
-
-
-def _trim(f: list[int]) -> list[int]:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _divmod_mod(f: list, g: list, p: int) -> tuple[list, list]:
-    """Quotient and remainder of f by a nonzero g over GF(p), or over Q when p = 0."""
-    r = list(f)
-    dg = len(g) - 1
-    inv = pow(g[-1], -1, p) if p else 1 / Fraction(g[-1])
-    quo = [0] * max(0, len(r) - dg)
-    for i in range(len(quo) - 1, -1, -1):
-        c = r[i + dg] * inv % p if p else r[i + dg] * inv
-        if c:
-            quo[i] = c
-            for j, x in enumerate(g):
-                r[i + j] = (r[i + j] - c * x) % p if p else r[i + j] - c * x
-    return _trim(quo), _trim(r[:dg])
-
-
-def _gcd_mod(f: list, g: list, p: int) -> list:
-    """Monic gcd over GF(p), or over Q when p = 0, of two polynomials, not both zero."""
-    while g:
-        f, g = g, _divmod_mod(f, g, p)[1]
-    inv = pow(f[-1], -1, p) if p else 1 / Fraction(f[-1])
-    return [c * inv % p for c in f] if p else [c * inv for c in f]
-
-
-def _mulmod_mod(f: list[int], g: list[int], m: list[int], p: int) -> list[int]:
-    """f * g reduced modulo m over GF(p)."""
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return _divmod_mod([c % p for c in out], m, p)[1]
-
-
-def _powmod_mod(f: list[int], e: int, m: list[int], p: int) -> list[int]:
-    """f^e reduced modulo m over GF(p), for e >= 1, by square-and-multiply."""
-    base, out = f, [1]
-    while e:
-        if e & 1:
-            out = _mulmod_mod(out, base, m, p)
-        base = _mulmod_mod(base, base, m, p)
-        e >>= 1
-    return out
-
-
-def _minus_t(f: list[int], p: int) -> list[int]:
-    """f - t over GF(p)."""
-    f = f + [0] * (2 - len(f))
-    f[1] = (f[1] - 1) % p
-    return _trim(f)
-
-
-def _linear_part_mod(f: list[int], p: int) -> list[int]:
-    """gcd(f, t^p - t) for a monic f over GF(p): the product of its distinct linear factors."""
-    return _gcd_mod(f, _minus_t(_powmod_mod([0, 1], p, f, p), p), p)
-
-
-def _roots_mod(g: list[int], p: int) -> list[int]:
-    """Distinct roots, ascending, modulo p of an integer polynomial g, monic mod p.
-
-    A scan of all residues when p <= SCAN_LIMIT.  Above it, the roots of
-    gcd(g, t^p - t) are split apart by gcd with (t + s)^((p-1)/2) - 1 for
-    seeded shifts s.
-    """
-    if p <= SCAN_LIMIT:
-        gp = [c % p for c in reversed(g)]
-        out = []
-        for x in range(p):
-            v = 0
-            for c in gp:
-                v = (v * x + c) % p
-            if v == 0:
-                out.append(x)
-        return out
-    rng = random.Random(0)
-    parts, roots = [_linear_part_mod([c % p for c in g], p)], []
-    while parts:
-        f = parts.pop()
-        if len(f) == 2:
-            roots.append(-f[0] % p)
-        elif len(f) > 2:
-            h = _powmod_mod([rng.randrange(p), 1], (p - 1) // 2, f, p)
-            d = _gcd_mod(f, _trim([(h[0] - 1) % p] + h[1:]) if h else [p - 1], p)
-            parts += [d, _divmod_mod(f, d, p)[0]] if 1 < len(d) < len(f) else [f]
-    return sorted(roots)
-
-
-def _simple_factor_mod(f: list[int], p: int) -> list[int] | None:
-    """A monic irreducible factor of multiplicity 1 of the monic f over GF(p), or None.
-
-    With g = gcd(f, f') and r = f / g (the factors whose multiplicity p does
-    not divide), u = r / gcd(r, g) is the product of the simple factors.  A
-    distinct-degree split of u returns the first degree part that is a single
-    factor.  A part of several linear factors gives t - r for its least root
-    r when p <= SCAN_LIMIT; any other part of several factors of one degree
-    is divided out.
-    """
-    g = _gcd_mod(f, _trim([c % p for c in _derivative(f)]), p)
-    r = _divmod_mod(f, g, p)[0]
-    u = _divmod_mod(r, _gcd_mod(r, g, p), p)[0]
-    h, d = [0, 1], 0  # h = t^(p^d) mod u
-    while len(u) > 1:
-        d += 1
-        if 2 * d > len(u) - 1:
-            return u  # every factor of degree below d is gone
-        h = _powmod_mod(h, p, u, p)
-        part = _gcd_mod(u, _minus_t(h, p), p)
-        if len(part) - 1 == d:
-            return part
-        if d == 1 and len(part) > 2 and p <= SCAN_LIMIT:
-            return [-_roots_mod(part, p)[0] % p, 1]
-        if len(part) > 1:
-            u = _divmod_mod(u, part, p)[0]
-            h = _divmod_mod(h, u, p)[1]
-    return None
 
 
 def _matmul(A: Sequence, B: Sequence, p: int = 0) -> list[list]:

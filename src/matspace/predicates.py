@@ -10,7 +10,7 @@ each member, so they test one member per projective class
 failing member of the full enumeration; `non_isotropic` solves for the last
 coordinate of each projective point instead of trying its q values.
 Eigenvalues over GF(p) come from the int char poly (`char_poly_rows`) and the
-one root finder `matrices._roots_mod`.  `spin` keeps its span as RREF rows
+one root finder `polys._roots_mod`.  `spin` keeps its span as RREF rows
 and asks `rref_rows` once per image whether it is new.
 Over the rationals, irreducibility and isotropy are three-valued: Unknown is
 an honest answer and is never silently converted.  A symmetric form is
@@ -38,19 +38,9 @@ from typing import Iterator
 from .errors import BudgetExceeded, InfiniteField, ZeroVector
 from .fields import Field
 from .forms import congruence_diagonalize
-from .matrices import (
-    Matrix,
-    Vector,
-    _integer_roots,
-    _matmul,
-    _roots_mod,
-    _simple_factor_mod,
-    char_poly_rows,
-    clear_denominators,
-    is_diagonalizable,
-    kernel_rows,
-    rref_rows,
-)
+from .matrices import Matrix, Vector, _matmul, char_poly_rows, clear_denominators
+from .matrices import is_diagonalizable, kernel_rows, rref_rows
+from .polys import _integer_roots, _roots_mod, _simple_factor_mod
 from .spaces import DEFAULT_BUDGET, MatSpace, VecSpace, _unflatten
 
 HOLDS = "holds"

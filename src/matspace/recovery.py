@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 
-from .errors import Char2AlternatingResidual, NoInvertibleSolution, ShapeMismatch
+from .errors import Char2AlternatingResidual, NoInvertibleSolution, ShapeMismatch, checked_int
 from .fields import Scalar
 from .forms import ScaleNormalization, _single_class_rediagonalize, congruence_diagonalize  # noqa: F401
 from .forms import nondiag_witness, square_class_normalize
@@ -210,6 +210,8 @@ def block_decompose(V: MatSpace) -> BlockMaps:
 
 def recover(V: MatSpace, budget: int = DEFAULT_BUDGET, seed: int = 0) -> RecoveryReport:
     """Run the full pipeline on V; see the module docstring for the stages."""
+    checked_int("budget", budget)
+    checked_int("seed", seed, None)
     F = V.field
     n = V.n
     report = RecoveryReport(space=V, seed=seed, budget=budget)

@@ -14,8 +14,8 @@ from __future__ import annotations
 import json
 
 from ._version import __version__
-from .census import CensusReport, census, checked_int, max_diag_dim, verify_classification
-from .errors import InvalidInput
+from .census import CensusReport, census, max_diag_dim, verify_classification
+from .errors import InvalidInput, checked_int
 from .fields import Field, make_field
 from .matrices import Matrix, Vector, is_diagonalizable
 from .predicates import (
@@ -140,6 +140,8 @@ def verdict_to_json(field: Field, v: Verdict) -> dict:
 
 
 def analyze_result(V: MatSpace, budget: int = DEFAULT_BUDGET, seed: int = 0) -> dict:
+    checked_int("budget", budget)
+    checked_int("seed", seed, None)
     orth = V.orth()
     verdicts = {
         "all_diagonalizable": all_diagonalizable(V, budget, seed),

@@ -15,9 +15,136 @@ import math
 import random
 from fractions import Fraction
 
-from matspace import MatSpace, Matrix, Poly, VecSpace, Vector, char_poly, kernel_basis, min_poly
+from matspace import MatSpace, Matrix, VecSpace, Vector, char_poly, kernel_basis, min_poly
 from matspace.errors import ZeroVector
 from matspace.predicates import HOLDS, Verdict, projective_points
+
+
+class FieldPoly:
+    """A polynomial over a field, low degree first, with arithmetic on field methods.
+
+    This is the arithmetic `Poly` ran before it became a value type over the
+    int-list functions of `polys`, so the two must agree coefficient for
+    coefficient.
+    """
+
+    def __init__(self, field, coeffs):
+        coeffs = [field.coerce(c) for c in coeffs]
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        self.field = field
+        self.coeffs = tuple(coeffs)
+
+    @classmethod
+    def of(cls, poly):
+        """The FieldPoly with the coefficients of a library `Poly`."""
+        return cls(poly.field, poly.coeffs)
+
+    @classmethod
+    def x(cls, field):
+        return cls(field, (field.zero(), field.one()))
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    @property
+    def is_zero(self):
+        return not self.coeffs
+
+    def __add__(self, other):
+        F = self.field
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] = F.add(out[i], c)
+        return FieldPoly(F, out)
+
+    def __neg__(self):
+        return FieldPoly(self.field, [self.field.neg(c) for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        F = self.field
+        if self.is_zero or other.is_zero:
+            return FieldPoly(F, ())
+        out = [F.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a != 0:
+                for j, b in enumerate(other.coeffs):
+                    out[i + j] = F.add(out[i + j], F.mul(a, b))
+        return FieldPoly(F, out)
+
+    def scale(self, c):
+        F = self.field
+        c = F.coerce(c)
+        return FieldPoly(F, [F.mul(c, a) for a in self.coeffs])
+
+    def monic(self):
+        return self if self.is_zero else self.scale(self.field.inv(self.coeffs[-1]))
+
+    def __divmod__(self, other):
+        from matspace.errors import DivisionByZero
+
+        if other.is_zero:
+            raise DivisionByZero("polynomial division by zero")
+        F = self.field
+        rem = list(self.coeffs)
+        div = other.coeffs
+        inv_lead = F.inv(div[-1])
+        quo = [F.zero()] * max(0, len(rem) - len(div) + 1)
+        for i in range(len(rem) - len(div), -1, -1):
+            c = F.mul(rem[i + len(div) - 1], inv_lead)
+            if c == 0:
+                continue
+            quo[i] = c
+            for j, d in enumerate(div):
+                rem[i + j] = F.sub(rem[i + j], F.mul(c, d))
+        return FieldPoly(F, quo), FieldPoly(F, rem)
+
+    def __floordiv__(self, other):
+        return divmod(self, other)[0]
+
+    def __mod__(self, other):
+        return divmod(self, other)[1]
+
+    def eval(self, x):
+        F = self.field
+        x = F.coerce(x)
+        out = F.zero()
+        for c in reversed(self.coeffs):
+            out = F.add(F.mul(out, x), c)
+        return out
+
+    def derivative(self):
+        F = self.field
+        return FieldPoly(F, [F.mul(F.coerce(i), c) for i, c in enumerate(self.coeffs[1:], start=1)])
+
+    @staticmethod
+    def gcd(a, b):
+        """Monic greatest common divisor."""
+        while not b.is_zero:
+            a, b = b, (a % b).monic()
+        return a.monic()
+
+    @staticmethod
+    def pow_mod(base, e, mod):
+        """base^e reduced modulo mod."""
+        result = FieldPoly(base.field, (base.field.one(),)) % mod
+        base = base % mod
+        while e:
+            if e & 1:
+                result = (result * base) % mod
+            base = (base * base) % mod
+            e >>= 1
+        return result
+
+    def __eq__(self, other):
+        return isinstance(other, FieldPoly) and other.field == self.field and other.coeffs == self.coeffs
 
 
 def det_oracle(M):
@@ -116,9 +243,9 @@ def diagonalizable_min_poly_oracle(M):
 
     The test `is_diagonalizable` made before it compared M^q with M on ints.
     """
-    m = min_poly(M)
-    t = Poly.x(M.field)
-    return Poly.pow_mod(t, M.field.cardinality, m) == t % m
+    m = FieldPoly.of(min_poly(M))
+    t = FieldPoly.x(M.field)
+    return FieldPoly.pow_mod(t, M.field.cardinality, m) == t % m
 
 
 def spin_oracle(V: MatSpace, v: Vector) -> VecSpace:
@@ -214,7 +341,7 @@ def projective_members_oracle(V: MatSpace) -> list:
 
 def trivial_spectrum_scan_oracle(V: MatSpace) -> Verdict:
     for _, M in members_in_order(V):
-        chi = char_poly(M)
+        chi = FieldPoly.of(char_poly(M))
         for lam in range(1, V.field.cardinality):
             if chi.eval(lam) == 0:
                 return Verdict.fails((M, lam))
@@ -360,19 +487,19 @@ def rational_roots_oracle(chi) -> list:
 # loops below from recomputing a member that the seeded draws repeat.
 @functools.lru_cache(maxsize=4096)
 def eigenvalues_q_oracle(M):
-    return rational_roots_oracle(char_poly(M))
+    return rational_roots_oracle(FieldPoly.of(char_poly(M)))
 
 
 @functools.lru_cache(maxsize=4096)
 def diagonalizable_q_oracle(M):
     """Squarefree minimal polynomial whose rational linear factors exhaust it."""
     F = M.field
-    m = min_poly(M)
-    if Poly.gcd(m, m.derivative()).degree != 0:
+    m = FieldPoly.of(min_poly(M))
+    if FieldPoly.gcd(m, m.derivative()).degree != 0:
         return False
     residual = m
     for r in rational_roots_oracle(m):
-        residual = residual // Poly(F, [F.neg(r), F.one()])
+        residual = residual // FieldPoly(F, [F.neg(r), F.one()])
     return residual.degree == 0
 
 
@@ -428,7 +555,7 @@ def irreducible_q_oracle(V: MatSpace, seed: int = 0) -> Verdict:
 # -- field-generic char poly and GF(p) root references ----------------------------
 #
 # The char-poly and root paths as they were before they moved to plain ints:
-# Berkowitz on field methods, root splitting with `Poly` gcds and powers, and
+# Berkowitz on field methods, root splitting with `FieldPoly` gcds and powers, and
 # the Horner scan for the least nonzero root.
 
 
@@ -462,7 +589,7 @@ def _berkowitz_hi_first(F, rows) -> list:
 
 
 def split_roots_oracle(g, rng: random.Random) -> list:
-    """Roots of a monic squarefree `Poly` over GF(q) that splits into linear factors,
+    """Roots of a monic squarefree `FieldPoly` over GF(q) that splits into linear factors,
     by gcds with (t + s)^((q-1)/2) - 1 for random shifts s."""
     F = g.field
     q = F.cardinality
@@ -471,18 +598,18 @@ def split_roots_oracle(g, rng: random.Random) -> list:
     if g.degree == 1:
         return [F.neg(g.coeffs[0])]
     while True:
-        shifted = Poly(F, [rng.randrange(q), F.one()])
-        d = Poly.gcd(g, Poly.pow_mod(shifted, (q - 1) // 2, g) - Poly.one(F))
+        shifted = FieldPoly(F, [rng.randrange(q), F.one()])
+        d = FieldPoly.gcd(g, FieldPoly.pow_mod(shifted, (q - 1) // 2, g) - FieldPoly(F, [F.one()]))
         if 0 < d.degree < g.degree:
             return split_roots_oracle(d, rng) + split_roots_oracle(g // d, rng)
 
 
 def eigenvalues_split_oracle(M) -> list:
-    """GF(q) eigenvalues, ascending: roots of gcd(chi, t^q - t), split with `Poly` arithmetic."""
+    """GF(q) eigenvalues, ascending: roots of gcd(chi, t^q - t), split with `FieldPoly` arithmetic."""
     F = M.field
-    chi = Poly(F, berkowitz_oracle(F, M.rows))
-    t = Poly.x(F)
-    g = Poly.gcd(chi, Poly.pow_mod(t, F.cardinality, chi) - t)
+    chi = FieldPoly(F, berkowitz_oracle(F, M.rows))
+    t = FieldPoly.x(F)
+    g = FieldPoly.gcd(chi, FieldPoly.pow_mod(t, F.cardinality, chi) - t)
     return sorted(split_roots_oracle(g, random.Random(0)))
 
 
@@ -500,7 +627,7 @@ def least_nonzero_root_oracle(chi: list, p: int) -> int:
 # -- quadratic forms on field methods ------------------------------------------
 # The form code of `recovery` before it moved to native numbers in `forms`,
 # and the two checks it replaced: Sylvester's leading-minor criterion and the
-# squarefree part through Poly.gcd.
+# squarefree part through a field-method gcd.
 
 
 def congruence_diagonalize_field_ops_oracle(P):
@@ -609,9 +736,9 @@ def definite_by_minors_oracle(P) -> bool:
 
 
 def squarefree_part_oracle(g: list) -> list:
-    """g / gcd(g, g') for a monic integer g, through Poly over Q."""
+    """g / gcd(g, g') for a monic integer g, through FieldPoly over Q."""
     from matspace import RationalField
 
-    G = Poly(RationalField(), g)
-    d = Poly.gcd(G, G.derivative())
+    G = FieldPoly(RationalField(), g)
+    d = FieldPoly.gcd(G, G.derivative())
     return g if d.degree == 0 else [c.numerator for c in (G // d).coeffs]

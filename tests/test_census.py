@@ -200,13 +200,27 @@ def test_census_rejects_unknown_engine_and_bad_counts():
     [
         {"cap": 1.5}, {"cap": True}, {"witness_limit": 1.5},
         {"budget": 2.5}, {"workers": True}, {"workers": 2.0},
+        {"n": True}, {"n": 2.0}, {"q": 2.0}, {"d": 1.0}, {"d": True},
     ],
 )
 def test_census_rejects_counts_that_are_not_ints(kwargs):
-    # Before, cap=1.5 raised AttributeError, witness_limit=1.5 TypeError, and
-    # the others ran (cap=True as cap 1).
+    # Before, cap=1.5 and q=2.0 raised AttributeError, witness_limit=1.5 and
+    # d=1.0 TypeError, and the others ran (cap=True as cap 1, n=True as n = 1).
     with pytest.raises(InvalidInput, match="must be an integer"):
-        census(2, 2, 1, ["diag"], **kwargs)
+        census(**{"n": 2, "q": 2, "d": 1, "predicates": ["diag"], **kwargs})
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (subspace_stream, (2, 2.0, 1)), (subspace_stream, (2, 2, True)),
+        (max_diag_dim, (2.0, 2)), (max_diag_dim, (True, 2)),
+        (verify_classification, (2.0, 2)), (verify_classification, (2, 2.0)),
+    ],
+)
+def test_every_census_entry_rejects_sizes_that_are_not_ints(fn, args):
+    with pytest.raises(InvalidInput, match="must be an integer"):
+        fn(*args)
 
 
 def test_census_budget_bounds_irreducible_starts_on_both_engines():

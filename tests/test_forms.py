@@ -21,7 +21,7 @@ from matspace.forms import (
     nondiag_witness,
     square_class_normalize,
 )
-from matspace.matrices import _integer_roots, _squarefree_part
+from matspace.polys import _integer_roots, _squarefree_part
 from matspace.predicates import HOLDS, UNKNOWN, non_isotropic
 
 from oracles import (

@@ -21,7 +21,8 @@ from matspace import (
     rref,
 )
 from matspace.errors import FieldMismatch, ShapeMismatch, Singular
-from matspace.matrices import _matmul, _simple_factor_mod, rref_rows
+from matspace.matrices import _matmul, rref_rows
+from matspace.polys import _simple_factor_mod
 
 from oracles import (
     berkowitz_oracle,

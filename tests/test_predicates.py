@@ -24,7 +24,7 @@ from matspace import (
 )
 from matspace import predicates
 from matspace.errors import BudgetExceeded, InfiniteField, ZeroVector
-from matspace.matrices import _simple_factor_mod
+from matspace.polys import _simple_factor_mod
 from matspace.predicates import FAILS, HOLDS, UNKNOWN, Verdict, _norton_holds
 
 from oracles import (

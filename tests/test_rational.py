@@ -24,7 +24,7 @@ from matspace import (
 )
 from matspace.errors import Singular
 from matspace.fields import is_prime
-from matspace.matrices import _integer_roots
+from matspace.polys import _integer_roots
 from matspace.predicates import (
     FAILS,
     Verdict,

@@ -23,6 +23,7 @@ from matspace import (
 )
 from matspace.errors import (
     Char2AlternatingResidual,
+    InvalidInput,
     NoInvertibleSolution,
     NotSymmetric,
     SquareClassNotViolated,
@@ -30,7 +31,7 @@ from matspace.errors import (
 )
 from matspace.predicates import FAILS, HOLDS, UNKNOWN
 from matspace.recovery import CONDITIONAL, FAILURE, PARTIAL, SUCCESS
-from matspace.serialize import canonical_json, recovery_report
+from matspace.serialize import analyze_result, canonical_json, recovery_report
 
 from oracles import invertible_pick_oracle, random_invertible, random_space
 
@@ -530,3 +531,16 @@ def frozen_fp_input(name):
 def test_fp_recovery_report_bytes(name):
     text = canonical_json(recovery_report(recover(frozen_fp_input(name))))
     assert hashlib.sha256(text.encode()).hexdigest() == FROZEN_FP_RECOVERY[name]
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"seed": 1.5}, {"seed": "x"}, {"seed": True}, {"budget": None}, {"budget": 2.5}, {"budget": -1}],
+)
+def test_recover_and_analyze_reject_seeds_and_budgets_that_are_not_ints(kwargs):
+    # Before, budget=None raised TypeError and the others ran to a report
+    # that verify rejects (over GF(p), budget=2.5 raised BudgetExceeded).
+    V = MatSpace.standard("sym", 2, Q)
+    for fn in (recover, analyze_result):
+        with pytest.raises(InvalidInput, match="must be an integer"):
+            fn(V, **kwargs)
