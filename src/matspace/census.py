@@ -44,7 +44,7 @@ DEFAULT_CAP = 10**7
 NON_HEAVY_LIMIT = 100_000
 SUPPORTED_Q = (2, 3, 5)
 
-# Cheapest test first; callers may pass their own early-exit order.
+# Cheapest test first: the early-exit order of every census.
 PREDICATE_ORDER = ("trivial_spectrum", "all_diagonalizable", "irreducible")
 
 PREDICATE_ALIASES = {
@@ -71,7 +71,7 @@ def gaussian_binomial(m: int, d: int, q: int) -> int:
     return num // den
 
 
-def normalize_predicates(names, keep_order: bool = False) -> list[str]:
+def normalize_predicates(names) -> list[str]:
     out = []
     for name in names:
         key = PREDICATE_ALIASES.get(str(name).strip().lower())
@@ -79,8 +79,6 @@ def normalize_predicates(names, keep_order: bool = False) -> list[str]:
             raise InvalidInput(f"unknown predicate {name!r}")
         if key not in out:
             out.append(key)
-    if keep_order:
-        return out
     return sorted(out, key=PREDICATE_ORDER.index)
 
 
@@ -249,17 +247,16 @@ def census(
     witness_limit: int = 5,
     heavy: bool = False,
     engine: str | None = None,
-    keep_order: bool = False,
 ) -> CensusReport:
     """Count the subspaces surviving the predicate filter chain.
 
-    Predicates are applied in cheap-first order with early exit (pass
-    ``keep_order=True`` to evaluate in the given sequence instead);
-    counts[p] tallies the subspaces that satisfied p and every predicate
-    before it, so the last entry is the conjunction count.  Fully
-    independent tallies come from one census per predicate.
+    Predicates are applied in cheap-first order (PREDICATE_ORDER) with
+    early exit, whatever order they are given in; counts[p] tallies the
+    subspaces that satisfied p and every predicate before it, so the last
+    entry is the conjunction count.  Fully independent tallies come from
+    one census per predicate.
     """
-    predicates = normalize_predicates(predicates, keep_order)
+    predicates = normalize_predicates(predicates)
     if not predicates:
         raise InvalidInput("census needs at least one predicate")
     checked_int("workers", workers, 1)

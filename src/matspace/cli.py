@@ -16,12 +16,7 @@ import json
 import sys
 
 from ._version import __version__
-from .census import (
-    DEFAULT_CAP,
-    census,
-    max_diag_dim,
-    verify_classification,
-)
+from .census import DEFAULT_CAP, census
 from .errors import BudgetExceeded, CapExceeded, InvalidInput, MatSpaceError
 from .fields import make_field
 from .predicates import FAILS, UNKNOWN
@@ -29,8 +24,8 @@ from .recovery import CONDITIONAL, PARTIAL, SUCCESS, recover
 from .serialize import (
     analyze_report,
     census_report_json,
-    classification_result,
-    max_diag_dim_result,
+    classification_report,
+    max_diag_dim_report,
     recovery_report,
     space_from_json,
     verify_report,
@@ -104,19 +99,21 @@ def _emit(report: dict, output: str | None) -> None:
             fh.write(text + "\n")
 
 
-def _load_space(args):
+def _read_json(path: str):
     try:
-        with open(args.input) as fh:
-            obj = json.load(fh)
+        with open(path) as fh:
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise InvalidInput(f"cannot read {args.input}: {exc}") from exc
+        raise InvalidInput(f"cannot read {path}: {exc}") from exc
+
+
+def _load_space(args):
     field = make_field(args.field) if args.field else None
-    return space_from_json(obj, field=field)
+    return space_from_json(_read_json(args.input), field=field)
 
 
 def _cmd_analyze(args) -> int:
-    V = _load_space(args)
-    report = analyze_report(V, args.budget, args.seed)
+    report = analyze_report(_load_space(args), args.budget, args.seed)
     _emit(report, args.output)
     statuses = [v["status"] for v in report["result"]["verdicts"].values()]
     if FAILS in statuses:
@@ -127,10 +124,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    V = _load_space(args)
-    rep = recover(V, args.budget, args.seed)
-    report = recovery_report(rep)
-    _emit(report, args.output)
+    rep = recover(_load_space(args), args.budget, args.seed)
+    _emit(recovery_report(rep), args.output)
     if rep.status in (SUCCESS, CONDITIONAL):
         return EXIT_OK
     if rep.status == PARTIAL:
@@ -140,30 +135,12 @@ def _cmd_recover(args) -> int:
 
 def _cmd_census(args) -> int:
     if args.task == "maxdim":
-        d_max, witness = max_diag_dim(
-            args.n, args.q, budget=args.budget, cap=args.cap, heavy=args.heavy
-        )
-        report = {
-            "type": "max_diag_dim",
-            "version": __version__,
-            "budget": args.budget,
-            "cap": args.cap,
-            "result": max_diag_dim_result(args.n, args.q, d_max, witness),
-        }
-        _emit(report, args.output)
+        _emit(max_diag_dim_report(args.n, args.q, args.budget, args.cap, args.heavy), args.output)
         return EXIT_OK
     if args.task == "classify":
-        res = verify_classification(
-            args.n, args.q, budget=args.budget, cap=args.cap, heavy=args.heavy
-        )
-        report = {
-            "type": "classification",
-            "version": __version__,
-            "budget": args.budget,
-            "cap": args.cap,
-            "result": classification_result(res),
-        }
+        report = classification_report(args.n, args.q, args.budget, args.cap, args.heavy)
         _emit(report, args.output)
+        res = report["result"]
         ok = (
             res["trivial_spectrum_form"]["all_expressible"]
             and res["diagonalizable_form"]["all_similar"]
@@ -196,11 +173,7 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        with open(args.input) as fh:
-            report = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InvalidInput(f"cannot read {args.input}: {exc}") from exc
+    report = _read_json(args.input)
     try:
         ok, details = verify_report(report, workers=args.workers, heavy=args.heavy)
     except (KeyError, TypeError) as exc:
@@ -208,6 +181,14 @@ def _cmd_verify(args) -> int:
     summary = {"type": "verification", "ok": ok, "details": details}
     _emit(summary, args.output)
     return EXIT_OK if ok else EXIT_FAILS
+
+
+COMMANDS = {
+    "analyze": _cmd_analyze,
+    "recover": _cmd_recover,
+    "census": _cmd_census,
+    "verify": _cmd_verify,
+}
 
 
 def main(argv=None) -> int:
@@ -218,24 +199,10 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad flags, which matches the input-error code
         return EXIT_INPUT if exc.code not in (0,) else 0
     try:
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "recover":
-            return _cmd_recover(args)
-        if args.command == "census":
-            return _cmd_census(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        raise InvalidInput(f"unknown command {args.command!r}")
-    except (BudgetExceeded, CapExceeded) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_BUDGET
-    except InvalidInput as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_INPUT
+        return COMMANDS[args.command](args)
     except MatSpaceError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_BUDGET if isinstance(exc, (BudgetExceeded, CapExceeded)) else EXIT_INPUT
 
 
 def entry() -> None:

@@ -86,18 +86,6 @@ class Field:
     def div(self, a: Scalar, b: Scalar) -> Scalar:
         return self.mul(a, self.inv(b))
 
-    def pow(self, a: Scalar, k: int) -> Scalar:
-        if k < 0:
-            return self.pow(self.inv(a), -k)
-        out = self.one()
-        base = a
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return out
-
     def is_square(self, x: Scalar) -> bool:
         raise NotImplementedError
 
@@ -163,11 +151,6 @@ class PrimeField(Field):
         if a % self.p == 0:
             raise DivisionByZero(f"inverse of 0 in GF({self.p})")
         return pow(a, -1, self.p)
-
-    def pow(self, a, k):
-        if k < 0:
-            return pow(self.inv(a), -k, self.p)
-        return pow(a, k, self.p)
 
     def is_square(self, x) -> bool:
         x %= self.p
@@ -278,11 +261,6 @@ class RationalField(Field):
         if a == 0:
             raise DivisionByZero("inverse of 0 in Q")
         return 1 / Fraction(a)
-
-    def pow(self, a, k):
-        if k < 0:
-            return self.inv(Fraction(a) ** (-k))
-        return Fraction(a) ** k
 
     def is_square(self, x) -> bool:
         x = Fraction(x)

@@ -103,6 +103,8 @@ def _mulmod_mod(f: list, g: list, m: list, p: int) -> list:
 
 def _powmod_mod(f: list, e: int, m: list, p: int) -> list:
     """f^e reduced modulo a nonzero m over GF(p), or over Q when p = 0, for e >= 0."""
+    if e < 0:
+        raise ValueError(f"negative exponent {e}")
     base, out = f, [1] if len(m) > 1 else []
     while e:
         if e & 1:

@@ -262,9 +262,6 @@ def trivial_spectrum(V: MatSpace, budget: int = DEFAULT_BUDGET, seed: int = 0) -
     """
     F = V.field
     if F.is_finite:
-        total = V.element_count()
-        if total > budget:
-            raise BudgetExceeded(total, budget)
         p, n = F.cardinality, V.n
         for flat in V.projective_rows(budget):
             rows = _unflatten(n, flat)

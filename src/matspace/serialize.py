@@ -7,6 +7,13 @@ Scalars serialize as integers (prime fields) or reduced "a/b" strings
 Reports embed their inputs by value, so re-verification is self-contained:
 ``verify_report`` re-runs the embedded computation, compares the canonical
 result section byte for byte, and re-evaluates every transcript equality.
+
+Each report type has one builder, and every envelope comes from `_report`:
+``{"type", "version", <inputs>, "result"}``.  `analyze_report`,
+`recovery_report`, `census_report_json`, `max_diag_dim_report` and
+`classification_report` are what the CLI emits, and `verify_report`
+recomputes a report by calling the same builder on the embedded inputs, so
+the code that made a report is the code that re-checks it.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import json
 from ._version import __version__
 from .census import CensusReport, census, max_diag_dim, verify_classification
 from .errors import InvalidInput, checked_int
-from .fields import Field, make_field
+from .fields import Field, PrimeField, make_field
 from .matrices import Matrix, Vector, is_diagonalizable
 from .predicates import (
     Verdict,
@@ -59,12 +66,6 @@ def matrix_from_json(field: Field, obj) -> Matrix:
 def vector_to_json(v: Vector) -> dict:
     F = v.field
     return {"dim": v.dim, "entries": [F.scalar_to_json(x) for x in v.entries]}
-
-
-def vector_from_json(field: Field, obj) -> Vector:
-    if not isinstance(obj, dict) or "entries" not in obj:
-        raise InvalidInput(f"vector JSON needs 'entries', got {obj!r}")
-    return Vector(field, [field.scalar_from_json(x) for x in obj["entries"]])
 
 
 def space_to_json(V: MatSpace) -> dict:
@@ -117,8 +118,6 @@ def witness_to_json(field: Field, witness) -> dict | None:
         return {"kind": "vector", **vector_to_json(witness)}
     if isinstance(witness, VecSpace):
         return {"kind": "vector_space", **vecspace_to_json(witness)}
-    if isinstance(witness, MatSpace):
-        return {"kind": "matrix_space", **space_to_json(witness)}
     if isinstance(witness, tuple) and len(witness) == 2 and isinstance(witness[0], Matrix):
         return {
             "kind": "matrix_eigenvalue",
@@ -134,6 +133,11 @@ def verdict_to_json(field: Field, v: Verdict) -> dict:
         "witness": witness_to_json(field, v.witness),
         "reason": v.reason,
     }
+
+
+def _report(kind: str, result: dict, **inputs) -> dict:
+    """The envelope of every report: its type, the version, its inputs, its result."""
+    return {"type": kind, "version": __version__, **inputs, "result": result}
 
 
 # -- analyze -------------------------------------------------------------------
@@ -156,14 +160,8 @@ def analyze_result(V: MatSpace, budget: int = DEFAULT_BUDGET, seed: int = 0) -> 
 
 
 def analyze_report(V: MatSpace, budget: int, seed: int) -> dict:
-    return {
-        "type": "analyze",
-        "version": __version__,
-        "input": space_to_json(V),
-        "budget": budget,
-        "seed": seed,
-        "result": analyze_result(V, budget, seed),
-    }
+    result = analyze_result(V, budget, seed)
+    return _report("analyze", result, input=space_to_json(V), budget=budget, seed=seed)
 
 
 # -- recovery --------------------------------------------------------------------
@@ -209,14 +207,13 @@ def recovery_result(rep: RecoveryReport) -> dict:
 
 
 def recovery_report(rep: RecoveryReport) -> dict:
-    return {
-        "type": "recovery",
-        "version": __version__,
-        "input": space_to_json(rep.space),
-        "budget": rep.budget,
-        "seed": rep.seed,
-        "result": recovery_result(rep),
-    }
+    return _report(
+        "recovery",
+        recovery_result(rep),
+        input=space_to_json(rep.space),
+        budget=rep.budget,
+        seed=rep.seed,
+    )
 
 
 def check_recovery_transcript(report: dict) -> list[dict]:
@@ -259,16 +256,7 @@ def check_recovery_transcript(report: dict) -> list[dict]:
 
 
 def census_result(rep: CensusReport) -> dict:
-    field = make_field({"kind": "prime", "p": rep.q})
-
-    def flat_to_matrices(flat_rows):
-        return [
-            matrix_to_json(
-                Matrix(field, [row[i * rep.n : (i + 1) * rep.n] for i in range(rep.n)])
-            )
-            for row in flat_rows
-        ]
-
+    field = PrimeField(rep.q)
     return {
         "n": rep.n,
         "q": rep.q,
@@ -282,10 +270,7 @@ def census_result(rep: CensusReport) -> dict:
         "total": rep.total,
         "counts": rep.counts,
         "witnesses": {
-            name: [
-                {"field": field.to_json(), "n": rep.n, "basis": flat_to_matrices(w)}
-                for w in wits
-            ]
+            name: [space_to_json(MatSpace.from_canonical_rows(field, rep.n, w)) for w in wits]
             for name, wits in rep.witnesses.items()
         },
         "seedless": rep.seedless,
@@ -293,16 +278,8 @@ def census_result(rep: CensusReport) -> dict:
 
 
 def census_report_json(rep: CensusReport) -> dict:
-    return {
-        "type": "census",
-        "version": __version__,
-        "result": census_result(rep),
-        "meta": {
-            "elapsed_seconds": rep.elapsed,
-            "workers": rep.workers,
-            "partition": rep.partition,
-        },
-    }
+    meta = {"elapsed_seconds": rep.elapsed, "workers": rep.workers, "partition": rep.partition}
+    return _report("census", census_result(rep), meta=meta)
 
 
 # -- census-derived summaries --------------------------------------------------
@@ -315,6 +292,13 @@ def max_diag_dim_result(n: int, q: int, d_max: int, witness) -> dict:
         "d_max": d_max,
         "witness": space_to_json(witness),
     }
+
+
+def max_diag_dim_report(n: int, q: int, budget: int, cap: int, heavy: bool) -> dict:
+    d_max, witness = max_diag_dim(n, q, budget, cap, heavy)
+    return _report(
+        "max_diag_dim", max_diag_dim_result(n, q, d_max, witness), budget=budget, cap=cap
+    )
 
 
 def classification_result(res: dict) -> dict:
@@ -337,6 +321,11 @@ def classification_result(res: dict) -> dict:
     }
 
 
+def classification_report(n: int, q: int, budget: int, cap: int, heavy: bool) -> dict:
+    res = verify_classification(n, q, budget, cap, heavy)
+    return _report("classification", classification_result(res), budget=budget, cap=cap)
+
+
 # -- verification ------------------------------------------------------------------
 
 
@@ -353,8 +342,8 @@ def _recompute(report: dict, workers: int, heavy: bool) -> dict:
         V = space_from_json(report["input"])
         budget, seed = _int_param(report, "budget"), _int_param(report, "seed", None)
         if kind == "analyze":
-            return analyze_result(V, budget, seed)
-        return recovery_result(recover(V, budget, seed))
+            return analyze_report(V, budget, seed)["result"]
+        return recovery_report(recover(V, budget, seed))["result"]
     if kind not in ("census", "max_diag_dim", "classification"):
         raise InvalidInput(f"unknown report type {kind!r}")
     bounds = r if kind == "census" else report  # a census report keeps them in its result
@@ -362,10 +351,9 @@ def _recompute(report: dict, workers: int, heavy: bool) -> dict:
     for key in ("n", "q", "d", "witness_limit") if kind == "census" else ("n", "q"):
         _int_param(r, key)
     if kind == "max_diag_dim":
-        d_max, witness = max_diag_dim(r["n"], r["q"], budget, cap, heavy)
-        return max_diag_dim_result(r["n"], r["q"], d_max, witness)
+        return max_diag_dim_report(r["n"], r["q"], budget, cap, heavy)["result"]
     if kind == "classification":
-        return classification_result(verify_classification(r["n"], r["q"], budget, cap, heavy))
+        return classification_report(r["n"], r["q"], budget, cap, heavy)["result"]
     rep = census(
         r["n"],
         r["q"],
@@ -377,9 +365,8 @@ def _recompute(report: dict, workers: int, heavy: bool) -> dict:
         witness_limit=r["witness_limit"],
         heavy=heavy,
         engine=r["engine"],
-        keep_order=True,
     )
-    return census_result(rep)
+    return census_report_json(rep)["result"]
 
 
 def verify_report(report: dict, workers: int = 1, heavy: bool = False) -> tuple[bool, list]:

@@ -239,20 +239,6 @@ def test_census_predicate_order_normalization():
     assert rep.predicates == ["trivial_spectrum", "all_diagonalizable", "irreducible"]
 
 
-def test_census_custom_predicate_order():
-    rep = census(2, 2, 2, ["diag", "trivspec"], keep_order=True)
-    assert rep.predicates == ["all_diagonalizable", "trivial_spectrum"]
-    default = census(2, 2, 2, ["trivspec", "diag"])
-    # the conjunction count is order-independent
-    assert (
-        rep.counts["trivial_spectrum"] == default.counts["all_diagonalizable"]
-    )
-    from matspace.serialize import census_report_json, verify_report
-
-    ok, _ = verify_report(census_report_json(rep))
-    assert ok
-
-
 def test_max_diag_dim():
     d_max, witness = max_diag_dim(2, 2)
     assert d_max == 2

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from matspace import Matrix, MatSpace, PrimeField, RationalField, invert
+from matspace._version import __version__
 from matspace.cli import main
 from matspace.serialize import space_to_json
 
@@ -407,3 +408,56 @@ def test_seed_is_echoed(capsys, tmp_path):
     path.write_text(json.dumps(space_to_json(V)))
     code, report = run(capsys, "recover", "--input", str(path), "--seed", "7")
     assert report["seed"] == 7
+
+
+UPPER_F7 = {"basis": [{"n": 2, "rows": [[0, 1], [0, 0]]}], "field": {"kind": "prime", "p": 7}, "n": 2}
+SYM2_F3 = {
+    "basis": [
+        {"n": 2, "rows": [[1, 0], [0, 0]]},
+        {"n": 2, "rows": [[0, 1], [1, 0]]},
+        {"n": 2, "rows": [[0, 0], [0, 1]]},
+    ],
+    "field": {"kind": "prime", "p": 3},
+    "n": 2,
+}
+
+
+def test_report_envelopes_are_frozen_and_verify(capsys, tmp_path):
+    # Only "result" sections are frozen elsewhere; this freezes every other
+    # top-level key, and census meta but its timing, of each report type.
+    write_json(tmp_path / "upper.json", UPPER_F7)
+    write_json(tmp_path / "sym2.json", SYM2_F3)
+    bounds = ["--budget", "1000", "--cap", "500"]
+    cases = [
+        (
+            ["analyze", "--input", str(tmp_path / "upper.json"), "--budget", "1000", "--seed", "5"],
+            {"type": "analyze", "input": UPPER_F7, "budget": 1000, "seed": 5},
+        ),
+        (
+            ["recover", "--input", str(tmp_path / "sym2.json"), "--budget", "1000", "--seed", "2"],
+            {"type": "recovery", "input": SYM2_F3, "budget": 1000, "seed": 2},
+        ),
+        (
+            ["census", "--n", "2", "--q", "2", "--d", "1", "--pred", "diag", *bounds],
+            {"type": "census", "meta": {"partition": [4], "workers": 1}},
+        ),
+        (
+            ["census", "--task", "maxdim", "--n", "2", "--q", "2", *bounds],
+            {"type": "max_diag_dim", "budget": 1000, "cap": 500},
+        ),
+        (
+            ["census", "--task", "classify", "--n", "2", "--q", "2", *bounds],
+            {"type": "classification", "budget": 1000, "cap": 500},
+        ),
+    ]
+    for i, (argv, envelope) in enumerate(cases):
+        out = str(tmp_path / f"report{i}.json")
+        code, report = run(capsys, *argv, "--output", out)
+        assert code in (0, 1), argv
+        assert "result" in report
+        del report["result"]
+        if "meta" in report:
+            assert isinstance(report["meta"].pop("elapsed_seconds"), float)
+        assert report == {**envelope, "version": __version__}, argv
+        code, summary = run(capsys, "verify", "--input", out)
+        assert code == 0 and summary["ok"], argv

@@ -61,6 +61,13 @@ def test_pow_mod():
     assert Poly.pow_mod(t, 7, m) == Poly(F7, [0, 6])  # t^7 = -t mod t^2+1
 
 
+@pytest.mark.parametrize("F", [F7, Q])
+def test_pow_mod_rejects_a_negative_exponent(F):
+    # e >>= 1 stays at -1, so the square-and-multiply loop must not start
+    with pytest.raises(ValueError):
+        Poly.pow_mod(Poly.x(F), -1, Poly(F, [1, 0, 1]))
+
+
 def test_shift_and_repr():
     p = Poly(F7, [3, 0, 1]).shift(2)
     assert p.coeffs == (0, 0, 3, 0, 1)

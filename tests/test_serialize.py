@@ -89,8 +89,6 @@ def test_witness_encodings():
     assert witness_to_json(F3, W)["kind"] == "vector_space"
     pair = witness_to_json(F3, (M, 2))
     assert pair["kind"] == "matrix_eigenvalue" and pair["eigenvalue"] == 2
-    sub = witness_to_json(F3, MatSpace.standard("alt", 2, F3))
-    assert sub["kind"] == "matrix_space"
     assert witness_to_json(F3, None) is None
     enc = verdict_to_json(F3, Verdict.unknown("sampled"))
     assert enc == {"status": "unknown", "witness": None, "reason": "sampled"}
