@@ -35,8 +35,10 @@ from . import gf2
 from ._version import __version__
 from .errors import BudgetExceeded, CapExceeded, InvalidInput, checked_int
 from .fields import PrimeField
+from .matrices import Matrix
+from .predicates import HOLDS, _members, non_isotropic
 # _holds looks all_diagonalizable, irreducible and trivial_spectrum up by name.
-from .predicates import HOLDS, all_diagonalizable, irreducible, non_isotropic, trivial_spectrum  # noqa: F401
+from .predicates import all_diagonalizable, irreducible, trivial_spectrum  # noqa: F401
 from .recovery import recover
 from .spaces import DEFAULT_BUDGET, MatSpace
 
@@ -379,7 +381,8 @@ def verify_classification(
         # A non-isotropic X is invertible (a kernel vector is isotropic), so
         # X * Alt_n inside V has dimension n(n-1)/2 and is all of V.  c*X is
         # non-isotropic exactly when X is, so one member per class is tried.
-        members = alt.multipliers(space, "left").projective_elements(budget)
+        walk = _members(alt.multipliers(space, "left"), budget)[1]
+        members = (Matrix(space.field, X) for X in walk)
         P = next((X for X in members if non_isotropic(X).status == HOLDS), None)
         cases.append({"space": space, "P": P, "expressible": P is not None})
 

@@ -77,9 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cen.add_argument("--pred", help="comma list: diag, trivspec, irred")
     p_cen.add_argument("--budget", type=_nonnegative, default=DEFAULT_BUDGET)
     p_cen.add_argument("--cap", type=_nonnegative, default=DEFAULT_CAP)
-    p_cen.add_argument("--workers", type=int, default=1)
+    p_cen.add_argument("--workers", type=int, help="count task only (default 1)")
     p_cen.add_argument("--heavy", action="store_true")
-    p_cen.add_argument("--witness-limit", type=int, default=5)
+    p_cen.add_argument("--witness-limit", type=int, help="count task only (default 5)")
     p_cen.add_argument("--csv", help="also write a CSV tally table")
     p_cen.add_argument("--output", help="also write the report to this path")
 
@@ -134,6 +134,10 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    count_only = ("d", "pred", "workers", "witness_limit", "csv")
+    given = ["--" + flag.replace("_", "-") for flag in count_only if getattr(args, flag) is not None]
+    if args.task != "count" and given:
+        raise InvalidInput(f"census --task {args.task} does not take {', '.join(given)}")
     if args.task == "maxdim":
         _emit(max_diag_dim_report(args.n, args.q, args.budget, args.cap, args.heavy), args.output)
         return EXIT_OK
@@ -156,8 +160,8 @@ def _cmd_census(args) -> int:
         preds,
         budget=args.budget,
         cap=args.cap,
-        workers=args.workers,
-        witness_limit=args.witness_limit,
+        workers=1 if args.workers is None else args.workers,
+        witness_limit=5 if args.witness_limit is None else args.witness_limit,
         heavy=args.heavy,
     )
     report = census_report_json(rep)

@@ -15,6 +15,7 @@ Integer roots (`_integer_roots`, the rational eigenvalues of L*M) pass a
 small-prime sieve, then the roots of the squarefree part g / gcd(g, g')
 (the same division and gcd, with p = 0) modulo a prime where it stays
 squarefree are Hensel-lifted, and each candidate is checked exactly.
+`_roots(g, p)` calls one of the two by p, so its callers need no field fork.
 """
 
 from __future__ import annotations
@@ -220,6 +221,11 @@ def _integer_roots(g: list[int]) -> list[int]:
         m *= m
     centred = (r if 2 * r <= m else r - m for r in lifted)
     return sorted(roots + [r for r in centred if _horner(g, r) == 0])
+
+
+def _roots(g: list[int], p: int) -> list[int]:
+    """Distinct roots, ascending, of a monic integer polynomial: modulo p, or in Z when p = 0."""
+    return _roots_mod(g, p) if p else _integer_roots(g)
 
 
 def _squarefree_part(g: list[int]) -> list[int]:

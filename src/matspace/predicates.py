@@ -1,29 +1,27 @@
 """Decision procedures on subspaces, each returning a checkable verdict.
 
-Over finite fields every predicate here is decided and a Fails verdict always
-carries a witness that re-verifies on its own.  Irreducibility is first tried
-with Norton's criterion (two spins); only when that does not prove it does
-the exhaustive projective scan run, so a witness always comes from the scan.
-`trivial_spectrum` and `all_diagonalizable` ask a scale-invariant question of
-each member, so they test one member per projective class
-(`MatSpace.projective_rows`), on plain ints mod p, and still return the first
-failing member of the full enumeration; `non_isotropic` solves for the last
-coordinate of each projective point instead of trying its q values.
-Eigenvalues over GF(p) come from the int char poly (`char_poly_rows`) and the
-one root finder `polys._roots_mod`.  `spin` keeps its span as RREF rows
-and asks `rref_rows` once per image whether it is new.
-Over the rationals, irreducibility and isotropy are three-valued: Unknown is
-an honest answer and is never silently converted.  A symmetric form is
-proved non-isotropic when it is definite, read from the signs of its
-congruence diagonal in `forms`.
+One walk per field, one loop per predicate: `trivial_spectrum`,
+`all_diagonalizable` and the kernel starts of `irreducible` scan the
+members that `_members` yields as int rows, and the field only chooses
+them.  Over GF(q) it walks one member per projective class
+(`MatSpace.projective_rows`, plain ints mod p); each question is
+scale-invariant, so the first failing member of the full enumeration is a
+walked one.  Over Q it walks the integer matrices L*M (L the lcm of the
+basis denominators) of the basis and of seeded integer combinations
+(`_samples`, each projective class once).  A clean pass proves Holds only
+when the walk was exhaustive; otherwise it is Unknown, an honest answer
+that is never silently converted.  Char polys come from the one int
+Berkowitz (`char_poly_rows`), eigenvalues from the one root finder
+`polys._roots`, and a Fraction matrix is built only for a witness.
 
-The rational branches of `trivial_spectrum`, `all_diagonalizable` and the
-kernel starts of `irreducible` share one sampler: the basis, then seeded
-integer combinations, each projective class tested once.  They work on the
-integer matrix L*M (L the lcm of the basis denominators): char polys come
-from the same int Berkowitz, eigenvalues from a sieve + Hensel integer root
-finder, diagonalizability from a product of shifted integer matrices, and a
-Fraction matrix is built only for a witness.
+Irreducibility over GF(q) is first tried with Norton's criterion (two
+spins); only when that does not prove it do the spins from every
+projective point run, so a witness always comes from them.  `spin` keeps
+its span as RREF rows and asks `rref_rows` once per image whether it is
+new.  `non_isotropic` solves for the last coordinate of each projective
+point over GF(q) instead of trying its q values; over Q a symmetric form
+is proved non-isotropic when it is definite, read from the signs of its
+congruence diagonal in `forms`.
 """
 
 from __future__ import annotations
@@ -33,6 +31,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Iterator
 
 from .errors import BudgetExceeded, InfiniteField, ZeroVector
@@ -40,7 +39,7 @@ from .fields import Field
 from .forms import congruence_diagonalize
 from .matrices import Matrix, Vector, _matmul, char_poly_rows, clear_denominators
 from .matrices import is_diagonalizable, kernel_rows, rref_rows
-from .polys import _integer_roots, _roots_mod, _simple_factor_mod
+from .polys import _roots, _simple_factor_mod
 from .spaces import DEFAULT_BUDGET, MatSpace, VecSpace, _unflatten
 
 HOLDS = "holds"
@@ -141,14 +140,26 @@ def _samples(dim: int, seed: int, count: int, with_basis: bool = True) -> Iterat
                 return  # every nonzero vector of F^1 lies in this one class
 
 
-def _integer_members(n: int, basis: list, samples: Iterator[tuple]) -> Iterator[list]:
-    """The integer n x n matrices sum(c_i * basis_i), basis given as flat int rows."""
-    for c in samples:
-        yield _unflatten(n, _matmul([c], basis)[0])
+def _members(V: MatSpace, budget: int, seed: int = 0, count: int = 0, with_basis: bool = True):
+    """The one member walk of the scanning predicates, lazy: (L, members, exhaustive).
+
+    Members are n x n int rows.  GF(q): the residues of
+    `V.projective_rows(budget)`, with L = 1; exhaustive for a test that c*M
+    passes exactly when M does.  Q: the integer matrices L*M (L the lcm of
+    the basis denominators) of the basis, unless `with_basis` is false, then
+    of the `count` seeded combinations of `_samples`; never exhaustive.
+    """
+    n = V.n
+    if V.field.is_finite:
+        return 1, (_unflatten(n, flat) for flat in V.projective_rows(budget)), True
+    L, basis = clear_denominators(V.rows)
+    samples = _samples(V.dim, seed, count, with_basis)
+    return L, (_unflatten(n, _matmul([c], basis)[0]) for c in samples), False
 
 
-def _unscaled(F: Field, rows: list, L: int) -> Matrix:
-    return Matrix(F, [[Fraction(x, L) for x in r] for r in rows])
+def _unscaled(A: Matrix, L: int) -> Matrix:
+    """M, for the matrix A = L*M of a walked member."""
+    return A if L == 1 else A.scale(Fraction(1, L))
 
 
 def _norton_holds(V: MatSpace) -> bool:
@@ -196,86 +207,68 @@ def irreducible(V: MatSpace, budget: int = DEFAULT_BUDGET, seed: int = 0) -> Ver
     nilpotent members, only repeated factors) spin from one representative
     of every projective point; the first proper spin is the witness.  The
     budget bounds those (q^n - 1)/(q - 1) starts either way.  Rationals:
-    spin from the standard basis and from kernel vectors of pseudorandom
-    members; absence of a witness is only ever Unknown.
+    spin from the standard basis, then from the kernel vectors of the
+    sampled members of `_members`, each computed only once the starts
+    before it spun to F^n; absence of a witness is only ever Unknown.
     """
     F = V.field
     n = V.n
     if F.is_finite:
         q = F.cardinality
-        starts = (q**n - 1) // (q - 1)
-        if starts > budget:
-            raise BudgetExceeded(starts, budget)
+        count = (q**n - 1) // (q - 1)
+        if count > budget:
+            raise BudgetExceeded(count, budget)
         if _norton_holds(V):
             return Verdict.holds()
-        for v in projective_points(F, n):
-            sub = spin(V, v)
-            if not sub.is_full:
-                return Verdict.fails(sub)
-        return Verdict.holds()
-    _, basis = clear_denominators(V.rows)
-    samples = _samples(V.dim, seed, _Q_SAMPLE_KERNELS, with_basis=False)
-    starts = [Vector.basis(F, n, i) for i in range(n)]
-    for A in _integer_members(n, basis, samples):
-        starts.extend(Vector(F, k) for k in kernel_rows(F, A, n))
+        starts, exhaustive = projective_points(F, n), True
+    else:
+        _, members, exhaustive = _members(V, budget, seed, _Q_SAMPLE_KERNELS, with_basis=False)
+        kernels = (Vector(F, k) for A in members for k in kernel_rows(F, A, n))
+        starts = itertools.chain((Vector.basis(F, n, i) for i in range(n)), kernels)
     for v in starts:
         sub = spin(V, v)
         if not sub.is_full:
             return Verdict.fails(sub)
-    return Verdict.unknown("infinite field: irreducibility not decided")
+    return Verdict.holds() if exhaustive else Verdict.unknown("infinite field: irreducibility not decided")
 
 
 def all_diagonalizable(V: MatSpace, budget: int = DEFAULT_BUDGET, seed: int = 0) -> Verdict:
     """Every member of V is diagonalizable over the ground field.
 
-    Exhaustive over finite fields (within the budget on all q^dim members):
-    c*M is diagonalizable exactly when M is, so one member per projective
-    class is tested, in `MatSpace.projective_rows` order, and the witness is
-    the first non-diagonalizable member of the full enumeration.  Over the
-    rationals only a seeded sample is inspected for a falsifying member;
-    otherwise Unknown, since exhaustiveness is impossible.
+    c*M is diagonalizable exactly when M is, so each member L*M of the walk
+    `_members` is tested.  Over finite fields the walk is exhaustive (within
+    the budget on all q^dim members) and the witness is the first
+    non-diagonalizable member of the full enumeration.  Over the rationals
+    only the basis and a seeded sample are inspected for a falsifying
+    member; otherwise Unknown, since exhaustiveness is impossible.
     """
-    if V.field.is_finite:
-        for M in V.projective_elements(budget):
-            if not is_diagonalizable(M):
-                return Verdict.fails(M)
-        return Verdict.holds()
     F = V.field
-    L, basis = clear_denominators(V.rows)
-    for A in _integer_members(V.n, basis, _samples(V.dim, seed, _Q_SAMPLE_TRIVIAL)):
-        if not is_diagonalizable(Matrix(F, A)):
-            return Verdict.fails(_unscaled(F, A, L))
-    return Verdict.unknown("infinite field: sampled members only")
+    L, members, exhaustive = _members(V, budget, seed, _Q_SAMPLE_TRIVIAL)
+    for A in (Matrix(F, rows) for rows in members):
+        if not is_diagonalizable(A):
+            return Verdict.fails(_unscaled(A, L))
+    return Verdict.holds() if exhaustive else Verdict.unknown("infinite field: sampled members only")
 
 
 def trivial_spectrum(V: MatSpace, budget: int = DEFAULT_BUDGET, seed: int = 0) -> Verdict:
     """No member of V has a nonzero eigenvalue in the ground field.
 
-    A Fails witness is the pair (member, nonzero eigenvalue).  Over GF(p),
-    c*M has a nonzero eigenvalue exactly when M does, so one member per
-    projective class is tested (the budget still bounds all p^dim members):
-    its char poly comes from Berkowitz on plain ints mod p, and the witness
-    eigenvalue is the least nonzero root from `_roots_mod` (a scan of the
-    residues up to SCAN_LIMIT, gcd with t^p - t and splitting above it).
-    Over the rationals the basis plus seeded samples are tested; a clean
-    pass is reported as Unknown("sampled"), never Holds.
+    A Fails witness is the pair (member, nonzero eigenvalue).  c*M has a
+    nonzero eigenvalue exactly when M does, so each member L*M of the walk
+    `_members` is tested: its char poly comes from Berkowitz on plain ints
+    (mod p over GF(p)), and the witness eigenvalue is its least nonzero
+    root from `polys._roots` divided by L.  Over GF(p) the walk is
+    exhaustive (the budget still bounds all p^dim members); over the
+    rationals the basis plus seeded samples are tested, and a clean pass is
+    reported as Unknown("sampled"), never Holds.
     """
-    F = V.field
-    if F.is_finite:
-        p, n = F.cardinality, V.n
-        for flat in V.projective_rows(budget):
-            rows = _unflatten(n, flat)
-            lam = next((r for r in _roots_mod(char_poly_rows(rows, p), p) if r), 0)
-            if lam:
-                return Verdict.fails((Matrix(F, rows), lam))
-        return Verdict.holds()
-    L, basis = clear_denominators(V.rows)
-    for A in _integer_members(V.n, basis, _samples(V.dim, seed, _Q_SAMPLE_TRIVIAL)):
-        # The integer roots of L*M's char poly are L times M's rational eigenvalues.
-        lam = next((r for r in _integer_roots(char_poly_rows(A)) if r), 0)
+    F, p = V.field, V.field.cardinality or 0
+    L, members, exhaustive = _members(V, budget, seed, _Q_SAMPLE_TRIVIAL)
+    for A in members:
+        lam = next((r for r in _roots(char_poly_rows(A, p), p) if r), 0)
         if lam:
-            return Verdict.fails((_unscaled(F, A, L), Fraction(lam, L)))
-    return Verdict.unknown("infinite field: sampled members only")
+            return Verdict.fails((_unscaled(Matrix(F, A), L), F.coerce(lam) if L == 1 else Fraction(lam, L)))
+    return Verdict.holds() if exhaustive else Verdict.unknown("infinite field: sampled members only")
 
 
 def _least_root_in_last(a: int, b: int, c: int, F: Field) -> int | None:
@@ -329,10 +322,8 @@ def non_isotropic(P: Matrix) -> Verdict:
         d = congruence_diagonalize(P)[1].diagonal_entries()
         if all(x > 0 for x in d) or all(x < 0 for x in d):
             return Verdict.holds()
-    for tail in itertools.product(range(-5, 6), repeat=n):
-        if all(t == 0 for t in tail):
-            continue
-        x = Vector(F, tail)
-        if x.dot(P * x) == 0:
-            return Verdict.fails(x)
+    _, A = clear_denominators(P.rows)  # x^T (L*P) x = 0 exactly when x^T P x = 0
+    for x in itertools.product(range(-5, 6), repeat=n):
+        if any(x) and not sum(xi * sum(map(mul, row, x)) for xi, row in zip(x, A) if xi):
+            return Verdict.fails(Vector(F, x))
     return Verdict.unknown("rationals: indefinite form, no small isotropic vector found")

@@ -24,7 +24,7 @@ from .fields import Scalar
 from .forms import ScaleNormalization, _single_class_rediagonalize, congruence_diagonalize  # noqa: F401
 from .forms import nondiag_witness, square_class_normalize
 from .matrices import Matrix, _matmul, invert, is_diagonalizable, kernel_rows, rref_rows
-from .predicates import FAILS, UNKNOWN, Verdict, irreducible, non_isotropic, trivial_spectrum
+from .predicates import FAILS, UNKNOWN, Verdict, _members, irreducible, non_isotropic, trivial_spectrum
 from .spaces import DEFAULT_BUDGET, MatSpace, _canonical
 
 SUCCESS = "success"
@@ -119,20 +119,19 @@ def solve_symmetrizer(V: MatSpace, budget: int = DEFAULT_BUDGET) -> tuple[MatSpa
     n = V.n
     space = V.multipliers(MatSpace.standard("sym", n, F), "right")
 
-    def _invertible(M: Matrix) -> bool:
-        _, pivots = rref_rows(F, M.rows)
-        return len(pivots) == n
+    def _invertible(rows) -> bool:
+        return len(rref_rows(F, rows)[1]) == n
 
     for P in space.basis():
-        if _invertible(P):
+        if _invertible(P.rows):
             return space, P
     if space.dim == 0:
         raise NoInvertibleSolution("solution space is zero", exhaustive=True)
     if F.is_finite:
-        # Invertibility is scale-invariant, so the first invertible member is a kept one.
-        for P in space.projective_elements(budget):
-            if _invertible(P):
-                return space, P
+        # Invertibility is scale-invariant, so the first invertible member is a walked one.
+        for rows in _members(space, budget)[1]:
+            if _invertible(rows):
+                return space, Matrix(F, rows)
         raise NoInvertibleSolution(
             f"no invertible element among the {F.cardinality}^{space.dim} solutions",
             exhaustive=True,
@@ -141,7 +140,7 @@ def solve_symmetrizer(V: MatSpace, budget: int = DEFAULT_BUDGET) -> tuple[MatSpa
         for coeffs in itertools.product(range(-3, 4), repeat=space.dim):
             if any(coeffs):
                 P = space._unvec(_matmul([coeffs], space.rows)[0])
-                if _invertible(P):
+                if _invertible(P.rows):
                     return space, P
     raise NoInvertibleSolution(
         "bounded search over integer combinations found no invertible solution",

@@ -361,10 +361,5 @@ class MatSpace:
             if lead <= k < 2 * lead:
                 yield flat
 
-    def projective_elements(self, budget: int = DEFAULT_BUDGET) -> Iterator[Matrix]:
-        """The members of `projective_rows`, as matrices."""
-        for flat in self.projective_rows(budget):
-            yield self._unvec(flat)
-
     def __repr__(self):
         return f"MatSpace(dim {self.dim} of Mat_{self.n}({self.field}))"

@@ -362,6 +362,20 @@ def non_isotropic_scan_oracle(P) -> Verdict:
     return Verdict.holds()
 
 
+def small_isotropic_vector_oracle(P):
+    """The first nonzero x in [-5, 5]^n, in product order, with x^T P x = 0, or None.
+
+    The rational fallback of `non_isotropic` as it ran on Vector and Matrix
+    products.
+    """
+    for tail in itertools.product(range(-5, 6), repeat=P.nrows):
+        if any(tail):
+            x = Vector(P.field, tail)
+            if x.dot(P * x) == 0:
+                return x
+    return None
+
+
 def invertible_pick_oracle(space: MatSpace):
     """The basis member, else the first member, of `space` that is invertible, or None."""
     candidates = itertools.chain(space.basis(), (M for _, M in members_in_order(space)))

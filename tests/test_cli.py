@@ -229,6 +229,20 @@ def test_census_bad_count_exit2(capsys, argv):
     assert code == 2
 
 
+@pytest.mark.parametrize("task", ["maxdim", "classify"])
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--d", "1"), ("--pred", "irred"), ("--workers", "2"), ("--witness-limit", "0"), ("--csv", "t.csv")],
+)
+def test_census_count_only_flag_exit2(capsys, tmp_path, monkeypatch, task, flag, value):
+    monkeypatch.chdir(tmp_path)
+    code = main(["census", "--task", task, "--n", "2", "--q", "2", flag, value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert not captured.out and flag in json.loads(captured.err)["error"]
+    assert not list(tmp_path.iterdir())  # no --csv table was written
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -361,6 +375,29 @@ def test_verify_roundtrip_all_report_types(capsys, tmp_path, sym3_path, scaled_p
         code, summary = run(capsys, "verify", "--input", path)
         assert code == 0
         assert summary["ok"]
+
+
+@pytest.mark.parametrize(
+    "field, status, code, reason",
+    [
+        (Q, "partial", 3, "bounded search over integer combinations found no invertible solution"),
+        (F7, "failure", 1, "no invertible element among the 7^1 solutions"),
+    ],
+)
+def test_recover_without_invertible_symmetrizer(capsys, tmp_path, field, status, code, reason):
+    # span(E11, E12, E22): the symmetrizer solutions span(E11) hold no invertible member.
+    upper = MatSpace.span([Matrix.unit(field, 2, *ij) for ij in ((0, 0), (0, 1), (1, 1))])
+    path, out = tmp_path / "upper.json", str(tmp_path / "report.json")
+    path.write_text(json.dumps(space_to_json(upper)))
+    got, report = run(capsys, "recover", "--input", str(path), "--output", out)
+    assert got == code
+    result = report["result"]
+    assert (result["status"], result["failure_stage"]) == (status, "symmetrizer")
+    stage = result["stages"][-1]
+    assert (stage["name"], stage["reason"]) == ("symmetrizer", reason)
+    assert stage["status"] == ("unknown" if field == Q else "fails")
+    verified, summary = run(capsys, "verify", "--input", out)
+    assert verified == 0 and summary["ok"]
 
 
 def test_verify_detects_tampering(capsys, tmp_path, sym3_path):

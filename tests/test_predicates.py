@@ -34,6 +34,7 @@ from oracles import (
     irreducible_scan_oracle,
     least_nonzero_root_oracle,
     non_isotropic_scan_oracle,
+    small_isotropic_vector_oracle,
     random_invertible,
     random_space,
     spin_oracle,
@@ -506,6 +507,23 @@ def test_non_isotropic_matches_the_projective_scan():
                     assert got == non_isotropic_scan_oracle(form), (field, form)
                     statuses[got.status] += 1
     assert min(statuses.values()) >= 40, statuses
+
+
+def test_non_isotropic_rational_search_matches_the_vector_loop():
+    # The small-vector search runs on the ints of L*P; a definite symmetric
+    # form has no isotropic vector, so the reference finds none either.
+    rng = random.Random(68)
+    forms = [Matrix.diagonal(Q, d) for d in ([1, -2], [1, 1, -7], [3, -7, Fraction(-1, 2)])]
+    for n in (1, 2, 3):
+        for _ in range(30 if n < 3 else 5):
+            P = Matrix(Q, [[Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(n)] for _ in range(n)])
+            forms += [P, P + P.transpose()]
+    statuses = {HOLDS: 0, FAILS: 0, UNKNOWN: 0}
+    for form in forms:
+        got, x = non_isotropic(form), small_isotropic_vector_oracle(form)
+        assert got.witness == x and (got.status == FAILS) == (x is not None), form
+        statuses[got.status] += 1
+    assert min(statuses.values()) >= 3, statuses
 
 
 def test_verdicts_conjugation_invariant():

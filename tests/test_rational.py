@@ -17,13 +17,16 @@ from matspace import (
     MatSpace,
     Matrix,
     RationalField,
+    VecSpace,
     eigenvalues_in_field,
     invert,
     is_diagonalizable,
     recover,
 )
+from matspace import predicates
 from matspace.errors import Singular
 from matspace.fields import is_prime
+from matspace.matrices import kernel_rows
 from matspace.polys import _integer_roots
 from matspace.predicates import (
     FAILS,
@@ -271,6 +274,17 @@ def test_sampled_predicates_match_the_unskipped_reference(predicate, reference):
         assert got == want, V.rows
         statuses.add(got.status)
     assert statuses == {FAILS, "unknown"}
+
+
+def test_irreducible_spins_the_unit_vectors_before_any_kernel(monkeypatch):
+    # span(E11, E12, E22) fixes <e1>, so the first unit-vector spin is the
+    # witness and none of the 100 sampled members needs a kernel.
+    calls = []
+    monkeypatch.setattr(predicates, "kernel_rows", lambda *args: calls.append(args) or kernel_rows(*args))
+    upper = MatSpace.span([Matrix.unit(Q, 2, *ij) for ij in ((0, 0), (0, 1), (1, 1))])
+    v = irreducible(upper)
+    assert v.status == FAILS and v.witness == VecSpace(Q, 2, ((1, 0),))
+    assert calls == []
 
 
 # Seven generators of a 7-dimensional space of Mat_3(Q) whose canonical basis
