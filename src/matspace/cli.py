@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 from ._version import __version__
@@ -97,6 +98,19 @@ def _emit(report: dict, output: str | None) -> None:
     if output:
         with open(output, "w") as fh:
             fh.write(text + "\n")
+
+
+def _check_output_paths(args) -> None:
+    """Refuse an --output or --csv path that cannot be written, before any work starts."""
+    for flag in ("output", "csv"):
+        path = getattr(args, flag, None)
+        if not path:
+            continue
+        parent = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(parent):
+            raise InvalidInput(f"--{flag} {path}: directory {parent} does not exist")
+        if os.path.isdir(path) or not os.access(path if os.path.exists(path) else parent, os.W_OK):
+            raise InvalidInput(f"--{flag} {path}: not a writable file path")
 
 
 def _read_json(path: str):
@@ -203,6 +217,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad flags, which matches the input-error code
         return EXIT_INPUT if exc.code not in (0,) else 0
     try:
+        _check_output_paths(args)
         return COMMANDS[args.command](args)
     except MatSpaceError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

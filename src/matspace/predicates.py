@@ -287,15 +287,16 @@ def _least_root_in_last(a: int, b: int, c: int, F: Field) -> int | None:
     return min((-b + s) * inv % p, (-b - s) * inv % p)
 
 
-def non_isotropic(P: Matrix) -> Verdict:
+def non_isotropic(P: Matrix, budget: int = DEFAULT_BUDGET) -> Verdict:
     """X^T P X != 0 for every nonzero X.
 
     Finite field: the witness is the first isotropic point in
     `projective_points` order.  The points sharing all coordinates but the
     last form one prefix, on which X^T P X is a quadratic a*z^2 + b*z + c
     in the last coordinate z; its least root (from `Field.sqrt` for odd p,
-    by trying z = 0, 1 for p = 2) is the prefix's first isotropic point.  So
-    n = 2 takes two prefixes and n >= 3 about p^(n-2).  Rationals: a
+    by trying z = 0, 1 for p = 2) is the prefix's first isotropic point.
+    There are (p^(n-1) - 1)/(p - 1) prefixes, about p^(n-2); more than the
+    budget raises BudgetExceeded before any is tried.  Rationals: a
     symmetric P whose congruence diagonal (`forms.congruence_diagonalize`)
     has entries of one sign is definite, which proves Holds; a zero value on
     small integer vectors proves Fails; otherwise Unknown.
@@ -305,6 +306,9 @@ def non_isotropic(P: Matrix) -> Verdict:
     n = P.nrows
     if F.is_finite:
         p, rows = F.cardinality, P.rows
+        prefixes = (p ** (n - 1) - 1) // (p - 1)
+        if prefixes > budget:
+            raise BudgetExceeded(prefixes, budget)
         a = rows[-1][-1]
         for lead in range(n - 1):
             for mid in itertools.product(range(p), repeat=n - lead - 2):

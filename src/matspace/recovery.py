@@ -12,6 +12,27 @@ Hypothesis checks along the way (identity membership, irreducibility and
 trivial spectrum of the trace-orthogonal complement, non-isotropy of P) are
 recorded but do not block the constructive path; the final similarity is
 re-verified exactly before success is reported.
+
+Over Q the two orth stages are derived from the symmetrizer instead of
+searched for.  Once V*P = Sym_n is checked, the complement V-perp is P*Alt_n;
+`recover` compares the two exactly, and when they agree and P is
+non-isotropic (x^T P x != 0 for x != 0) both stages hold, over any field:
+
+* Trivial spectrum.  Say P*A*x = lam*x with A alternating, lam != 0, and set
+  w = A*x.  Then w^T P w = lam * (A*x)^T x = -lam * x^T A x = 0, so w = 0,
+  and lam*x = P*w = 0 contradicts x != 0.
+* Irreducible, n >= 3.  Alt_n * x = x-perp for x != 0, so a P*Alt_n-stable
+  W containing x contains P(x-perp), of dimension n - 1.  If dim W = n - 1,
+  then x-perp = P^-1 W for every nonzero x in W, so W is a line and n = 2.
+  Hence W = F^n, for any invertible P.
+* Irreducible, n = 2.  V-perp = <P*J> with J = [[0, 1], [-1, 0]].  P*J is
+  invertible with no nonzero eigenvalue, so it has no eigenvector, and no
+  line is stable.
+
+Where the argument applies, the samplers it replaces could only return
+Unknown over Q; the derived stages carry a reason that names the
+derivation.  Over GF(p) the exhaustive scans still run before the
+symmetrizer, so their budget checks come first.
 """
 
 from __future__ import annotations
@@ -24,13 +45,16 @@ from .fields import Scalar
 from .forms import ScaleNormalization, _single_class_rediagonalize, congruence_diagonalize  # noqa: F401
 from .forms import nondiag_witness, square_class_normalize
 from .matrices import Matrix, _matmul, invert, is_diagonalizable, kernel_rows, rref_rows
-from .predicates import FAILS, UNKNOWN, Verdict, _members, irreducible, non_isotropic, trivial_spectrum
+from .predicates import FAILS, HOLDS, UNKNOWN, Verdict, _members, irreducible, non_isotropic, trivial_spectrum
 from .spaces import DEFAULT_BUDGET, MatSpace, _canonical
 
 SUCCESS = "success"
 CONDITIONAL = "conditional_success"
 FAILURE = "failure"
 PARTIAL = "partial"
+
+# The verdict of both orth stages over Q when the module docstring's argument applies.
+_DERIVED_ORTH = Verdict(HOLDS, reason="derived: V*P = Sym_n with P non-isotropic, so V-perp = P*Alt_n")
 
 
 @dataclass
@@ -148,6 +172,30 @@ def solve_symmetrizer(V: MatSpace, budget: int = DEFAULT_BUDGET) -> tuple[MatSpa
     )
 
 
+def _symmetrizer_chain(V: MatSpace, budget: int) -> tuple[Matrix | None, list[StageResult], str | None]:
+    """The stages symmetrizer .. non_isotropic of `recover`, each decided once.
+
+    Returns P (None when no invertible symmetrizer was found), the stage
+    results in report order, and the status that ends the recovery when a
+    stage stopped it (None when every stage ran).
+    """
+    try:
+        _, P = solve_symmetrizer(V, budget)
+    except NoInvertibleSolution as exc:
+        if exc.exhaustive:
+            return None, [StageResult("symmetrizer", Verdict(FAILS, reason=str(exc)))], FAILURE
+        return None, [StageResult("symmetrizer", Verdict.unknown(str(exc)))], PARTIAL
+    stages = [StageResult("symmetrizer", Verdict.holds())]
+    if not P.is_symmetric:
+        return P, [*stages, StageResult("symmetrizer_symmetric", Verdict(FAILS, witness=P))], FAILURE
+    stages.append(StageResult("symmetrizer_symmetric", Verdict.holds()))
+    if V.transform(P, "right") != MatSpace.standard("sym", V.n, V.field):
+        return P, [*stages, StageResult("right_mul_is_sym", Verdict(FAILS, witness=P))], FAILURE
+    stages.append(StageResult("right_mul_is_sym", Verdict.holds()))
+    stages.append(StageResult("non_isotropic", non_isotropic(P, budget)))
+    return P, stages, None
+
+
 def block_decompose(V: MatSpace) -> BlockMaps:
     """Split every member into corner, first column, first row and lower block.
 
@@ -251,33 +299,27 @@ def recover(V: MatSpace, budget: int = DEFAULT_BUDGET, seed: int = 0) -> Recover
         return report
     stages.append(StageResult("orth_dimension", Verdict.holds()))
 
-    stages.append(StageResult("orth_irreducible", irreducible(Vp, budget, seed)))
-    stages.append(StageResult("orth_trivial_spectrum", trivial_spectrum(Vp, budget, seed)))
-
-    try:
-        sol_space, P = solve_symmetrizer(V, budget)
-    except NoInvertibleSolution as exc:
-        if exc.exhaustive:
-            hard_fail("symmetrizer", Verdict(FAILS, reason=str(exc)))
+    if F.is_finite:  # the exhaustive scans run first, and so do their budget checks
+        orth = irreducible(Vp, budget, seed), trivial_spectrum(Vp, budget, seed)
+        P, chain, status = _symmetrizer_chain(V, budget)
+    else:
+        P, chain, status = _symmetrizer_chain(V, budget)
+        if (
+            status is None
+            and chain[-1].verdict.status == HOLDS
+            and MatSpace.standard("alt", n, F).transform(P, "left") == Vp
+        ):
+            orth = _DERIVED_ORTH, _DERIVED_ORTH
         else:
-            stages.append(StageResult("symmetrizer", Verdict.unknown(str(exc))))
-            report.status = PARTIAL
-            report.failure_stage = "symmetrizer"
-        return report
+            orth = irreducible(Vp, budget, seed), trivial_spectrum(Vp, budget, seed)
+    stages.append(StageResult("orth_irreducible", orth[0]))
+    stages.append(StageResult("orth_trivial_spectrum", orth[1]))
     report.P = P
-    stages.append(StageResult("symmetrizer", Verdict.holds()))
-
-    if not P.is_symmetric:
-        hard_fail("symmetrizer_symmetric", Verdict(FAILS, witness=P))
+    stages.extend(chain)
+    if status is not None:
+        report.status = status
+        report.failure_stage = chain[-1].name
         return report
-    stages.append(StageResult("symmetrizer_symmetric", Verdict.holds()))
-
-    if V.transform(P, "right") != MatSpace.standard("sym", n, F):
-        hard_fail("right_mul_is_sym", Verdict(FAILS, witness=P))
-        return report
-    stages.append(StageResult("right_mul_is_sym", Verdict.holds()))
-
-    stages.append(StageResult("non_isotropic", non_isotropic(P)))
 
     try:
         Qc, D = congruence_diagonalize(P)

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from matspace import Matrix, MatSpace, PrimeField, RationalField, invert
+from matspace import cli
 from matspace._version import __version__
 from matspace.cli import main
 from matspace.serialize import space_to_json
@@ -422,6 +423,43 @@ def test_verify_heavy_report_needs_heavy(capsys, tmp_path):
     code, _ = run(capsys, "verify", "--input", out)
     assert code == 4
     code, summary = run(capsys, "verify", "--input", out, "--heavy")
+    assert code == 0 and summary["ok"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["analyze", "--input", "SYM3"], "--output"),
+        (["recover", "--input", "SYM3"], "--output"),
+        (["census", "--task", "maxdim", "--n", "2", "--q", "2"], "--output"),
+        (["census", "--n", "2", "--q", "2", "--d", "1", "--pred", "diag"], "--output"),
+        (["census", "--n", "2", "--q", "2", "--d", "1", "--pred", "diag"], "--csv"),
+        (["verify", "--input", "SYM3"], "--output"),
+    ],
+)
+@pytest.mark.parametrize("where", ["missing_dir", "a_directory"])
+def test_unwritable_output_path_exit2_before_any_work(capsys, tmp_path, monkeypatch, sym3_path, argv, flag, where):
+    # Before, the whole run finished and then ended in a FileNotFoundError traceback.
+    for name in ("analyze_report", "recover", "census", "max_diag_dim_report", "verify_report"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("work started"))
+    path = str(tmp_path / "missing" / "r.json") if where == "missing_dir" else str(tmp_path)
+    argv = [sym3_path if a == "SYM3" else a for a in argv]
+    code = main([*argv, flag, path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert not captured.out and json.loads(captured.err)["error"].startswith(f"{flag} {path}: ")
+    assert not (tmp_path / "missing").exists()
+
+
+def test_recover_q_conjugate_succeeds_and_verifies(capsys, tmp_path):
+    # Both orth stages are derived from the definite symmetrizer.
+    V = MatSpace.standard("sym", 2, Q).conjugate(Matrix(Q, [[1, -1], [1, 0]]))
+    write_json(tmp_path / "conj.json", space_to_json(V))
+    out = str(tmp_path / "report.json")
+    code, report = run(capsys, "recover", "--input", str(tmp_path / "conj.json"), "--output", out)
+    assert code == 0 and report["result"]["status"] == "success"
+    assert {s["status"] for s in report["result"]["stages"]} == {"holds"}
+    code, summary = run(capsys, "verify", "--input", out)
     assert code == 0 and summary["ok"]
 
 

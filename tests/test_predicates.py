@@ -458,6 +458,21 @@ def test_non_isotropic_finite_witness_reverifies():
                 assert x.dot(P * x) == 0
 
 
+def test_non_isotropic_budget_bounds_the_prefixes():
+    # GF(p), n = 3 tries p + 1 prefixes; at p = 2^31 - 1 that is over the
+    # default budget, so it raises at once instead of running out of memory.
+    big = PrimeField(2**31 - 1)
+    with pytest.raises(BudgetExceeded) as exc:
+        non_isotropic(Matrix.identity(big, 3))
+    assert exc.value.required == 2**31 and exc.value.budget == 10**7
+    assert non_isotropic(Matrix.identity(big, 2)).status == HOLDS  # one prefix; -1 is no square, p = 3 mod 4
+    P = Matrix(F7, [[1, 2, 0], [2, 3, 1], [0, 1, 5]])
+    with pytest.raises(BudgetExceeded):
+        non_isotropic(P, budget=7)  # 1 + 7 prefixes
+    assert non_isotropic(P, budget=8) == non_isotropic(P) == non_isotropic_scan_oracle(P)
+    assert non_isotropic(Matrix.identity(Q, 3), budget=0).status == HOLDS  # the budget is for GF(p)
+
+
 def member_scan_spaces(field, n, rng):
     """A random, a conjugated diagonal and a conjugated nilpotent space, with q^dim small."""
     q = field.p

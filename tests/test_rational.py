@@ -23,7 +23,7 @@ from matspace import (
     is_diagonalizable,
     recover,
 )
-from matspace import predicates
+from matspace import predicates, recovery
 from matspace.errors import Singular
 from matspace.fields import is_prime
 from matspace.matrices import kernel_rows
@@ -321,9 +321,10 @@ def test_large_denominator_space_keeps_the_reference_witness():
 # -- frozen recovery reports ---------------------------------------------------------
 
 FROZEN_Q_RECOVERY = {
-    "conj2a": "b166a180ff8ec97ffbdfdcc6400648bcd92a9fcb85659042cddcea6d1f5298a4",
-    "conj2b": "2e58e3d6f54cd98c180e31de88b61b3b1af9cb3735164103222672c4c813ad10",
-    "conj3": "3c7f6d1c7f645070b47c3c8becb85a5ac652aee18ae4b8b67f2c9fab130afcd2",
+    # Definite symmetrizers: both orth stages are derived (conj3 stops at square_class).
+    "conj2a": "f49b03edfd80274943dd397cc65838f4e4f5c1d1d8e03b1dd1d595dcc3346d25",
+    "conj2b": "675b033b4e0312cd9c87dcea62d334cbfecf943d9dc9adf357f939c6892aafd9",
+    "conj3": "02fde198e55c8d1e9fad87f4a86d52f9dc2bbb40a9b2997f32b47d7538f08ea5",
     # Indefinite symmetrizers: non_isotropic finds a small isotropic vector.
     "indef2": "51e198ab2e4422a7e747905dc188f07d8e584c2b9d492317f3bec03afc336c61",
     "indef3": "594cdfef12b0561514ee84b3b6390956f6f827b2b820512b9b55738ea56920b3",
@@ -350,3 +351,57 @@ def frozen_q_input(name):
 def test_q_recovery_report_bytes(name):
     text = canonical_json(recovery_report(recover(frozen_q_input(name))))
     assert hashlib.sha256(text.encode()).hexdigest() == FROZEN_Q_RECOVERY[name]
+
+
+# -- orth stages derived from the symmetrizer -----------------------------------------
+
+
+def q_conjugate_block(seed):
+    """Nine n = 2 and one n = 3 conjugate of Sym_n, with S entries in [-1, 1]."""
+    rng = random.Random(seed)
+    block = []
+    for n in (2,) * 9 + (3,):
+        while True:
+            S = Matrix(Q, [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)])
+            try:
+                invert(S)
+                break
+            except Singular:
+                continue
+        block.append(MatSpace.standard("sym", n, Q).conjugate(S))
+    return block
+
+
+def test_derived_orth_stages_never_contradict_the_samplers():
+    # Wherever recover derives a stage, the former sampler finds no witness.
+    spaces = [frozen_q_input(name) for name in ("conj2a", "conj2b", "conj3")] + q_conjugate_block(1)
+    derived = 0
+    for V in spaces:
+        rep = recover(V)
+        stages = {s.name: s.verdict for s in rep.stages}
+        for name, sampler in (("orth_irreducible", irreducible), ("orth_trivial_spectrum", trivial_spectrum)):
+            if stages[name] == recovery._DERIVED_ORTH:
+                derived += 1
+                assert sampler(V.orth()).status != FAILS, (name, V.rows)
+        assert rep.status in ("success", "partial")
+    assert derived == 2 * len(spaces)
+
+
+def test_derived_orth_stages_reuse_the_chain(monkeypatch):
+    # One right and one left multiplication, and one non_isotropic call, per
+    # recovery (the final re-verification conjugates once more).
+    calls = []
+    transform, isotropy = MatSpace.transform, recovery.non_isotropic
+    monkeypatch.setattr(MatSpace, "transform", lambda V, P, mode: calls.append(mode) or transform(V, P, mode))
+    monkeypatch.setattr(recovery, "non_isotropic", lambda *a: calls.append("non_isotropic") or isotropy(*a))
+    conj, indef = frozen_q_input("conj2a"), frozen_q_input("indef2")
+    calls.clear()
+    assert recover(conj).status == "success"
+    assert sorted(calls) == ["conjugate", "left", "non_isotropic", "right"]
+    # An isotropic P leaves the stages to the samplers, and no left multiplication
+    # is made; P*J = [[0, 1], [1, 0]] has the eigenvalue 1.
+    calls.clear()
+    rep = recover(indef)
+    assert rep.stage("non_isotropic").status == FAILS
+    assert rep.stage("orth_trivial_spectrum").status == FAILS
+    assert calls == ["right", "non_isotropic"]

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,9 @@ from matspace import (
     solve_symmetrizer,
     square_class_normalize,
 )
+from matspace import recovery
 from matspace.errors import (
+    BudgetExceeded,
     Char2AlternatingResidual,
     InvalidInput,
     NoInvertibleSolution,
@@ -30,7 +33,7 @@ from matspace.errors import (
     ZeroDiagonalEntry,
 )
 from matspace.predicates import FAILS, HOLDS, UNKNOWN
-from matspace.recovery import CONDITIONAL, FAILURE, PARTIAL, SUCCESS
+from matspace.recovery import FAILURE, PARTIAL, SUCCESS
 from matspace.serialize import analyze_result, canonical_json, recovery_report
 
 from oracles import invertible_pick_oracle, random_invertible, random_space
@@ -386,12 +389,13 @@ def test_recover_random_conjugates():
             assert sym(n, F7).conjugate(rep.S) == V
 
 
-def test_recover_over_rationals_conditional():
+def test_recover_sym_over_rationals_succeeds():
+    # P = I is definite, so both orth stages are derived and none is unknown.
     for n in (2, 3):
         rep = recover(sym(n, Q))
-        assert rep.status == CONDITIONAL
+        assert rep.status == SUCCESS
         assert sym(n, Q).conjugate(rep.S) == sym(n, Q)
-        assert any(s.verdict.status == UNKNOWN for s in rep.stages)
+        assert all(s.verdict.status == HOLDS for s in rep.stages)
 
 
 def test_recover_rational_conjugates_n2_succeed():
@@ -402,7 +406,7 @@ def test_recover_rational_conjugates_n2_succeed():
         S0 = random_invertible(Q, 2, rng)
         V = sym(2, Q).conjugate(S0)
         rep = recover(V)
-        assert rep.status == CONDITIONAL
+        assert rep.status == SUCCESS
         assert sym(2, Q).conjugate(rep.S) == V
 
 
@@ -544,3 +548,25 @@ def test_recover_and_analyze_reject_seeds_and_budgets_that_are_not_ints(kwargs):
     for fn in (recover, analyze_result):
         with pytest.raises(InvalidInput, match="must be an integer"):
             fn(V, **kwargs)
+
+
+def test_recover_over_a_large_prime_still_stops_at_the_first_budget_check():
+    # Over GF(p) the orth scans still run before the symmetrizer chain, so
+    # irreducible's (p^3 - 1)/(p - 1) starts refuse the input at once.
+    p = 2**31 - 1
+    F = PrimeField(p)
+    V = sym(3, F).conjugate(Matrix(F, [[1, 2, 0], [0, 1, 3], [4, 0, 1]]))
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as exc:
+        recover(V)
+    assert time.perf_counter() - t0 < 2
+    assert exc.value.required == p * p + p + 1
+
+
+def test_recover_passes_its_budget_to_non_isotropic(monkeypatch):
+    budgets = []
+    isotropy = recovery.non_isotropic
+    monkeypatch.setattr(recovery, "non_isotropic", lambda P, budget: budgets.append(budget) or isotropy(P, budget))
+    for F in (F7, Q):
+        assert recover(sym(2, F), budget=1234).status == SUCCESS
+    assert budgets == [1234, 1234]
