@@ -5,6 +5,23 @@ patterns in lexicographic order, then all free-entry assignments (last free
 position varying fastest).  The stream total always equals the Gaussian
 binomial [n^2 choose d]_q.
 
+One walk (`_walk`) produces this order for the census and for
+`subspace_stream`.  The free positions are ordered by basis row, so row k's
+free values are the next digits of the product, and the walk picks the
+rows depth-first: row 0, then row 1 below it, and so on down to row d-1.
+When the first predicate of the chain is hereditary (`trivial_spectrum` or
+`all_diagonalizable`), the census tests the span of rows 0..k after each
+pick with k < d-1.  A failing span ends that branch: its
+q^(free positions of rows k+1..d-1) bases count as processed, and none
+survives.  Only complete bases run the predicate chain (`meta.tested` in
+the report).  The pruning is exact:
+- rows 0..k of a canonical RREF basis are a canonical RREF basis;
+- both predicates are exact scans over GF(q) and hold on every subspace of
+  a space they hold on, so a failing prefix span fails every basis below;
+- survivors come out in stream order, so counts and witness lists do not
+  change, and the processed total still equals the Gaussian binomial.
+A chain that starts with `irreducible` is not pruned.
+
 Enumeration is embarrassingly parallel across contiguous pattern chunks; the
 merge is associative and order-fixed, so the report content is independent of
 the worker count.  For q = 2 and n <= 3 a bit-packed engine with lookup
@@ -48,6 +65,8 @@ SUPPORTED_Q = (2, 3, 5)
 
 # Cheapest test first: the early-exit order of every census.
 PREDICATE_ORDER = ("trivial_spectrum", "all_diagonalizable", "irreducible")
+# Closed under subspaces: a basis prefix that fails one rules out its subtree.
+HEREDITARY = ("trivial_spectrum", "all_diagonalizable")
 
 PREDICATE_ALIASES = {
     "diag": "all_diagonalizable",
@@ -102,6 +121,7 @@ class CensusReport:
     elapsed: float = 0.0
     workers: int = 1
     partition: list[int] = dc_field(default_factory=list)
+    tested: int = 0  # subspaces the predicate chain ran on; failed prefixes decided the rest
 
 
 def _gate(n: int, q: int, d: int, cap: int, heavy: bool) -> int:
@@ -125,59 +145,66 @@ def _gate(n: int, q: int, d: int, cap: int, heavy: bool) -> int:
     return total
 
 
-def _free_positions(pattern, m: int) -> list[tuple[int, int]]:
-    pivot_set = set(pattern)
-    return [
-        (r, c)
-        for r in range(len(pattern))
-        for c in range(pattern[r] + 1, m)
-        if c not in pivot_set
-    ]
+def _walk(pattern, m: int, q: int, pack, grow=None, state=None):
+    """(rows, weight) for the RREF bases with this pivot pattern, in stream order.
 
-
-def _spaces(n: int, q: int, patterns):
-    """Every subspace whose RREF basis has one of the given pivot patterns."""
-    field = PrimeField(q)
-    m = n * n
-    for pattern in patterns:
-        free = _free_positions(pattern, m)
-        base = [[int(c == p) for c in range(m)] for p in pattern]
-        for values in itertools.product(range(q), repeat=len(free)):
-            rows = [row.copy() for row in base]
-            for (r, c), v in zip(free, values):
-                rows[r][c] = v
-            yield MatSpace.from_canonical_rows(field, n, rows)
-
-
-def _bit_pattern_stream(pattern, m: int):
-    """GF(2) fast path: same order as the generic stream, rows as bitsets.
-
-    The yielded list is mutated in place between yields; consumers must copy
-    what they keep.
+    Row k runs over the rows with pivot pattern[k] and zeros in the other
+    pivot columns, its free entries in itertools.product order; pack turns
+    each row, a list of m ints, into the engine's row type.  Nested over
+    k = 0..d-1, this is the product over all free entries with the last
+    varying fastest.  A complete basis comes with weight 1.  When grow is
+    given, each proper prefix is tested on the way down: grow(state, rows)
+    gets the state of rows[:-1] (state itself for the empty prefix) and
+    returns that of rows, or None when the span of rows fails; then the
+    prefix comes with the number of bases below it, which are not visited.
     """
-    free = _free_positions(pattern, m)
-    rows = [1 << p for p in pattern]
-    yield rows
-    f = len(free)
-    counter = [0] * f
-    masks = [(r, 1 << c) for r, c in free]
-    for _ in range((1 << f) - 1):
-        i = f - 1
-        while counter[i]:
-            counter[i] = 0
-            r, mask = masks[i]
-            rows[r] ^= mask
-            i -= 1
-        counter[i] = 1
-        r, mask = masks[i]
-        rows[r] ^= mask
-        yield rows
+    d = len(pattern)
+    if not d:
+        yield (), 1
+        return
+    pivots = set(pattern)
+    free = [[c for c in range(p + 1, m) if c not in pivots] for p in pattern]
+    weights = [q ** sum(map(len, free[k:])) for k in range(d + 1)]
+
+    def level(k):
+        for values in itertools.product(range(q), repeat=len(free[k])):
+            row = [0] * m
+            row[pattern[k]] = 1
+            for c, v in zip(free[k], values):
+                row[c] = v
+            yield pack(row)
+
+    # Inner levels are walked once per prefix, so they are built once; each
+    # holds at most total^(1/d) rows.  The last level can hold q^(m-1).
+    inner = [list(level(k)) for k in range(d - 1)]
+
+    def descend(prefix, state):
+        k = len(prefix)
+        if k == d - 1:
+            for row in level(k):
+                yield prefix + (row,), 1
+            return
+        for row in inner[k]:
+            rows = prefix + (row,)
+            if grow is None:
+                yield from descend(rows, state)
+            elif (grown := grow(state, rows)) is None:
+                yield rows, weights[k + 1]
+            else:
+                yield from descend(rows, grown)
+
+    yield from descend((), state)
 
 
 def subspace_stream(n: int, q: int, d: int, cap: int = DEFAULT_CAP, heavy: bool = False):
     """Every d-dimensional subspace of Mat_n(F_q) exactly once, canonically."""
     _gate(n, q, d, cap, heavy)
-    return _spaces(n, q, itertools.combinations(range(n * n), d))
+    field, m = PrimeField(q), n * n
+    return (
+        MatSpace.from_canonical_rows(field, n, rows)
+        for pattern in itertools.combinations(range(m), d)
+        for rows, _ in _walk(pattern, m, q, tuple)
+    )
 
 
 # -- per-subspace predicate evaluation ---------------------------------------
@@ -199,43 +226,70 @@ def _members_in(rows, d: int, table) -> bool:
     return True
 
 
-def _census_chunk(args) -> tuple[dict, dict, int]:
+def _census_chunk(args) -> tuple[dict, dict, int, int]:
     (n, q, d, start, stop, predicates, budget, witness_limit, engine) = args
     m = n * n
     patterns = itertools.islice(itertools.combinations(range(m), d), start, stop)
     counts = {p: 0 for p in predicates}
     witnesses = {p: [] for p in predicates}
-    processed = 0
+    processed = tested = 0
+    first = predicates[0]
     if engine == "bits":
         tables = {
             "all_diagonalizable": gf2.diagonalizable_table(n),
             "trivial_spectrum": gf2.eigenvalue_one_free_table(n),
         }
-        chain = [(p, tables.get(p)) for p in predicates]  # no table: irreducible
+        first_table = tables.get(first)
         action = gf2.action_table(n)
-        for pattern in patterns:
-            for rows in _bit_pattern_stream(pattern, m):
-                processed += 1
-                for p, table in chain:
-                    if table is None:
-                        ok = gf2.irreducible_bits(rows, n, action)
-                    else:
-                        ok = _members_in(rows, d, table)
-                    if not ok:
-                        break
-                    counts[p] += 1
-                    if len(witnesses[p]) < witness_limit:
-                        witnesses[p].append([gf2.unpack_row(r, m) for r in rows])
+        pack, space_of = gf2.pack_row, tuple  # the tables test the bitset rows themselves
+        root = [0]  # the state is the list of members of the prefix's span
+
+        def holds(p, rows):
+            table = tables.get(p)  # no table: irreducible
+            if table is None:
+                return gf2.irreducible_bits(rows, n, action)
+            return _members_in(rows, d, table)
+
+        def grow(span, rows):
+            # span lists the members of the prefix before rows[-1], which all
+            # passed; the new members are rows[-1] plus each of them.
+            new = [rows[-1] ^ x for x in span]
+            return span + new if all(first_table[x] for x in new) else None
+
+        def basis_rows(rows):
+            return [gf2.unpack_row(r, m) for r in rows]
     else:
-        for space in _spaces(n, q, patterns):
-            processed += 1
+        field = PrimeField(q)
+        pack, root = tuple, ()  # the state is the prefix itself
+
+        def space_of(rows):
+            return MatSpace.from_canonical_rows(field, n, rows)
+
+        def holds(p, space):
+            return _holds(p, space, budget)
+
+        def grow(prefix, rows):
+            return rows if holds(first, space_of(rows)) else None
+
+        def basis_rows(rows):
+            return [list(r) for r in rows]
+
+    if first not in HEREDITARY:
+        grow = None
+    for pattern in patterns:
+        for rows, weight in _walk(pattern, m, q, pack, grow, root):
+            processed += weight
+            if len(rows) < d:
+                continue  # a failed prefix: every basis below it fails the first predicate
+            tested += 1
+            space = space_of(rows)
             for p in predicates:
-                if not _holds(p, space, budget):
+                if not holds(p, space):
                     break
                 counts[p] += 1
                 if len(witnesses[p]) < witness_limit:
-                    witnesses[p].append([list(r) for r in space.rows])
-    return counts, witnesses, processed
+                    witnesses[p].append(basis_rows(rows))
+    return counts, witnesses, processed, tested
 
 
 def census(
@@ -300,9 +354,10 @@ def census(
 
     counts = {p: 0 for p in predicates}
     witnesses = {p: [] for p in predicates}
-    processed = 0
-    for pcounts, pwits, ptotal in partials:
+    processed = tested = 0
+    for pcounts, pwits, ptotal, ptested in partials:
         processed += ptotal
+        tested += ptested
         for p in predicates:
             counts[p] += pcounts[p]
             if len(witnesses[p]) < witness_limit:
@@ -326,6 +381,7 @@ def census(
         elapsed=time.perf_counter() - started,
         workers=len(args),
         partition=[stop - start for start, stop in bounds if stop > start],
+        tested=tested,
     )
 
 

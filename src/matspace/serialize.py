@@ -278,7 +278,12 @@ def census_result(rep: CensusReport) -> dict:
 
 
 def census_report_json(rep: CensusReport) -> dict:
-    meta = {"elapsed_seconds": rep.elapsed, "workers": rep.workers, "partition": rep.partition}
+    meta = {
+        "elapsed_seconds": rep.elapsed,
+        "workers": rep.workers,
+        "partition": rep.partition,
+        "tested": rep.tested,
+    }
     return _report("census", census_result(rep), meta=meta)
 
 

@@ -390,6 +390,46 @@ def gaussian_binomial_oracle(m, d, q):
     return num // den if d else 1
 
 
+# -- unpruned census -------------------------------------------------------------
+#
+# The census enumeration as it was before it pruned at failing basis prefixes:
+# pivot patterns in lexicographic order, one itertools.product over all free
+# entries of a pattern (last free position varying fastest), and the whole
+# predicate chain on every subspace.
+
+
+def rref_bases_oracle(n: int, q: int, d: int):
+    """Every canonical RREF basis of a d-dimensional subspace of Mat_n(F_q), as flat rows."""
+    m = n * n
+    for pattern in itertools.combinations(range(m), d):
+        pivots = set(pattern)
+        free = [(r, c) for r in range(d) for c in range(pattern[r] + 1, m) if c not in pivots]
+        base = [[int(c == p) for c in range(m)] for p in pattern]
+        for values in itertools.product(range(q), repeat=len(free)):
+            rows = [row.copy() for row in base]
+            for (r, c), v in zip(free, values):
+                rows[r][c] = v
+            yield rows
+
+
+def census_oracle(n: int, q: int, d: int, chains, holds) -> dict:
+    """chain -> (counts, every witness) for each chain of canonical predicate
+    names, in census order; holds(name, rows) decides one predicate on one basis."""
+    out = {chain: ({p: 0 for p in chain}, {p: [] for p in chain}) for chain in chains}
+    for rows in rref_bases_oracle(n, q, d):
+        verdicts = {}
+        for chain in chains:
+            counts, witnesses = out[chain]
+            for p in chain:
+                if p not in verdicts:
+                    verdicts[p] = holds(p, rows)
+                if not verdicts[p]:
+                    break
+                counts[p] += 1
+                witnesses[p].append(rows)
+    return out
+
+
 def random_matrix(field, n, rng: random.Random, span_ints=True):
     if field.is_finite:
         q = field.cardinality

@@ -1,7 +1,6 @@
 """Acceptance suite: one test per criterion, each printing a pass line.
 
-Run with ``pytest tests/test_acceptance.py -v -s``.  The long exhaustive
-census criterion is gated behind ``--heavy``.
+Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
 import random
@@ -239,7 +238,6 @@ def test_criterion_8():
                 break
 
 
-@pytest.mark.heavy
 @checked(9, 600, "heavy exhaustive censuses over Mat_3(F_2)")
 def test_criterion_9():
     rep1a = census(3, 2, 6, ["diag"], heavy=True, workers=1)

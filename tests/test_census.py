@@ -1,3 +1,5 @@
+from operator import mul
+
 import pytest
 
 from matspace import (
@@ -11,6 +13,7 @@ from matspace import (
     subspace_stream,
     verify_classification,
 )
+from matspace import gf2, predicates
 from matspace.errors import BudgetExceeded, CapExceeded, InvalidInput
 from matspace.predicates import HOLDS, non_isotropic
 from matspace.serialize import (
@@ -20,7 +23,7 @@ from matspace.serialize import (
     max_diag_dim_result,
 )
 
-from oracles import alt_multiplier_oracle, gaussian_binomial_oracle
+from oracles import alt_multiplier_oracle, census_oracle, gaussian_binomial_oracle
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -128,6 +131,88 @@ def test_census_engine_parity_irreducible_alone():
         assert bit.counts == gen.counts
         assert bit.witnesses == gen.witnesses
         assert bit.counts["irreducible"] > 0
+
+
+CHAINS = (
+    ("all_diagonalizable",),
+    ("trivial_spectrum",),
+    ("trivial_spectrum", "irreducible"),
+    ("all_diagonalizable", "irreducible"),
+    ("irreducible",),
+)
+PARITY_SIZES = (
+    [(2, 2, d) for d in range(5)]
+    + [(2, 3, d) for d in range(4)]
+    + [(2, 5, 1), (2, 5, 2)]
+    + [(3, 2, d) for d in range(1, 4)]
+)
+
+
+def _predicate_holds(n, q):
+    field = PrimeField(q)
+
+    def holds(name, rows):
+        space = MatSpace.from_canonical_rows(field, n, rows)
+        return getattr(predicates, name)(space).status == HOLDS
+
+    return holds
+
+
+def _table_holds(n):
+    """GF(2): the tables on every member of the span, spinning for irreducibility."""
+    tables = {
+        "all_diagonalizable": gf2.diagonalizable_table(n),
+        "trivial_spectrum": gf2.eigenvalue_one_free_table(n),
+    }
+    action = gf2.action_table(n)
+    weights = [1 << j for j in range(n * n)]
+    last = [None, None]  # the last basis asked about and its members; each chain asks in turn
+
+    def holds(name, rows):
+        if last[0] is not rows:
+            bits = [sum(map(mul, r, weights)) for r in rows]
+            span = [0]
+            for b in bits:
+                span += [b ^ x for x in span]
+            last[:] = rows, (bits, span)
+        bits, span = last[1]
+        if name == "irreducible":
+            return gf2.irreducible_bits(bits, n, action)
+        return all(map(tables[name].__getitem__, span))
+
+    return holds
+
+
+@pytest.mark.parametrize("n,q,d", PARITY_SIZES)
+def test_census_matches_the_unpruned_enumeration(n, q, d):
+    # Pruning at failing prefixes must not move a count or a witness.  Past
+    # (3,2,1) the predicates on MatSpaces take seconds per census, so the
+    # reference decides by the GF(2) tables and only the bits engine runs
+    # (test_census_engine_parity_full_sweep_3_2_2 compares the engines
+    # there).  The unpruned irred-only chain stops at (3,2,2): at (3,2,3) it
+    # spins 788,035 times.
+    big = n == 3 and d >= 2
+    chains = [c for c in CHAINS if (n, d, c) != (3, 3, ("irreducible",))]
+    holds = _table_holds(n) if big else _predicate_holds(n, q)
+    expected = census_oracle(n, q, d, chains, holds)
+    total = gaussian_binomial(n * n, d, q)
+    engines = (["bits"] if q == 2 else []) + ([] if big else ["generic"])
+    for engine in engines:
+        for workers in (1, 2):
+            for chain in chains:
+                rep = census(n, q, d, chain, workers=workers, witness_limit=total, engine=engine, heavy=True)
+                assert (rep.counts, rep.witnesses) == expected[chain], (engine, workers, chain)
+
+
+def test_tested_counts_the_subspaces_the_chain_ran_on():
+    # A failing basis prefix decides its whole subtree, whichever worker walks it.
+    tested = {
+        w: census(3, 2, 4, ["trivspec", "irred"], workers=w, heavy=True).tested for w in (1, 2, 4)
+    }
+    assert tested[1] == tested[2] == tested[4]
+    assert 0 < tested[1] < 3_309_747 // 1000
+    # irreducibility is not hereditary: an irred-only chain tests every subspace
+    assert census(2, 2, 2, ["irred"]).tested == 35
 
 
 def test_census_worker_determinism():
@@ -305,7 +390,6 @@ def test_classification_result_bytes(n, q):
     assert canonical_json(classification_result(res)) == FROZEN_CLASSIFICATION[n, q]
 
 
-@pytest.mark.heavy
 def test_maxdim_and_classification_3_2():
     d_max, witness = max_diag_dim(3, 2, heavy=True)
     assert d_max == 3

@@ -514,7 +514,7 @@ def test_report_envelopes_are_frozen_and_verify(capsys, tmp_path):
         ),
         (
             ["census", "--n", "2", "--q", "2", "--d", "1", "--pred", "diag", *bounds],
-            {"type": "census", "meta": {"partition": [4], "workers": 1}},
+            {"type": "census", "meta": {"partition": [4], "tested": 15, "workers": 1}},
         ),
         (
             ["census", "--task", "maxdim", "--n", "2", "--q", "2", *bounds],
