@@ -93,6 +93,8 @@ def gaussian_binomial(m: int, d: int, q: int) -> int:
 
 
 def normalize_predicates(names) -> list[str]:
+    if isinstance(names, str):
+        raise InvalidInput(f"predicates must be a list of names, not the string {names!r}")
     out = []
     for name in names:
         key = PREDICATE_ALIASES.get(str(name).strip().lower())

@@ -3,11 +3,15 @@
 Rows are Python ints with bit j = column j.  Whole n x n matrices are packed
 row-major into a single n*n-bit int for the census hot loop.  Results must be
 bit-identical to the generic elimination path; the test suite compares them.
+The diagonalizability table is the one test `_diagonalizable_rows` of
+`matrices`, run once on every unpacked matrix.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+
+from .matrices import _diagonalizable_rows
 
 
 def unpack_row(bits: int, ncols: int) -> list[int]:
@@ -59,13 +63,6 @@ def mat_rows(m: int, n: int) -> list[int]:
     return [(m >> (n * i)) & mask for i in range(n)]
 
 
-def pack_mat(rows: list[int], n: int) -> int:
-    out = 0
-    for i, r in enumerate(rows):
-        out |= r << (n * i)
-    return out
-
-
 def identity_bits(n: int) -> int:
     out = 0
     for i in range(n):
@@ -84,24 +81,6 @@ def mat_vec(m: int, v: int, n: int) -> int:
     return out
 
 
-def mat_mul(a: int, b: int, n: int) -> int:
-    """Product of two packed n x n matrices."""
-    brows = mat_rows(b, n)
-    out = 0
-    mask = (1 << n) - 1
-    for i in range(n):
-        arow = (a >> (n * i)) & mask
-        acc = 0
-        j = 0
-        while arow:
-            if arow & 1:
-                acc ^= brows[j]
-            arow >>= 1
-            j += 1
-        out |= acc << (n * i)
-    return out
-
-
 def invertible(m: int, n: int) -> bool:
     return rank_bits(mat_rows(m, n), n) == n
 
@@ -109,7 +88,9 @@ def invertible(m: int, n: int) -> bool:
 @lru_cache(maxsize=None)
 def diagonalizable_table(n: int) -> tuple[bool, ...]:
     """diagonalizable over GF(2) <=> M^2 = M (minimal polynomial divides t^2 + t)."""
-    return tuple(mat_mul(m, m, n) == m for m in range(1 << (n * n)))
+    return tuple(
+        _diagonalizable_rows([unpack_row(r, n) for r in mat_rows(m, n)], 2) for m in range(1 << (n * n))
+    )
 
 
 @lru_cache(maxsize=None)

@@ -15,8 +15,9 @@ for residues mod p), one division-free Berkowitz on plain ints
 (`char_poly_rows`, reduced mod p over GF(p)) and the one root finder
 `polys._roots` (roots mod p, or integer roots, which are L times the
 rational eigenvalues).  `rref_rows` is the one elimination, on plain ints
-mod p or on Fractions.  Over GF(p) M is diagonalizable when M^p = M; over
-Q when the product of L*M - rI over the roots r is zero.
+mod p or on Fractions.  `_diagonalizable_rows` is the one diagonalizability
+test, on the same int rows: over GF(p) M is diagonalizable when M^p = M;
+over Q when the product of L*M - rI over the roots r is zero.
 """
 
 from __future__ import annotations
@@ -478,25 +479,22 @@ def _matmul(A: Sequence, B: Sequence, p: int = 0) -> list[list]:
     return [[sum([x * y for x, y in zip(row, col) if x and y]) for col in cols] for row in A]
 
 
-def is_diagonalizable(M: Matrix) -> bool:
-    """Whether M is diagonalizable over its own ground field.
+def _diagonalizable_rows(rows: list, p: int = 0) -> bool:
+    """Whether the square int matrix `rows` (a list of int lists) is diagonalizable.
 
-    GF(p): M^p = M, that is the minimal polynomial divides t^p - t
-    (squarefree and split), with M^p by repeated squaring on plain ints mod
-    p.  Rationals: with A = L*M the integer matrix (L the lcm of the
-    denominators), M is diagonalizable over Q exactly when the product of
-    A - rI over the distinct roots r (`polys._roots`) of A's char poly is
-    zero.  That product would decide GF(p) too, but M^p = M is kept there
-    because it is faster on the small members that censuses test: on a
-    random GF(3) 3x3 member, 13.6 us against 37 us (one Xeon core,
-    Python 3.11).
+    The one diagonalizability test.  GF(p), rows reduced mod p: M^p = M,
+    that is the minimal polynomial divides t^p - t (squarefree and split),
+    with M^p by repeated squaring mod p.  Q (p = 0), rows the integer
+    matrix A = L*M (L the lcm of the denominators): M is diagonalizable
+    over Q exactly when the product of A - rI over the distinct roots r
+    (`polys._roots`) of A's char poly is zero.  That product would decide
+    GF(p) too, but M^p = M is kept there because it is faster on the small
+    members that censuses test: on a random GF(3) 3x3 member, 13.6 us
+    against 37 us (one Xeon core, Python 3.11).
     """
-    M._need_square()
-    p = M.field.cardinality or 0
-    if M.nrows == 0:
+    if not rows:
         return True
     if p:
-        rows = [list(r) for r in M.rows]
         power, base, e = None, rows, p
         while e:
             if e & 1:
@@ -505,8 +503,14 @@ def is_diagonalizable(M: Matrix) -> bool:
             if e:
                 base = _matmul(base, base, p)
         return power == rows
-    _, A = clear_denominators(M.rows)
-    P = [[int(i == j) for j in range(M.nrows)] for i in range(M.nrows)]
-    for r in _roots(char_poly_rows(A, p), p):
-        P = _matmul(P, [[x - r if i == j else x for j, x in enumerate(row)] for i, row in enumerate(A)])
+    n = len(rows)
+    P = [[int(i == j) for j in range(n)] for i in range(n)]
+    for r in _roots(char_poly_rows(rows), 0):
+        P = _matmul(P, [[x - r if i == j else x for j, x in enumerate(row)] for i, row in enumerate(rows)])
     return not any(map(any, P))
+
+
+def is_diagonalizable(M: Matrix) -> bool:
+    """Whether M is diagonalizable over its own ground field (`_diagonalizable_rows`)."""
+    M._need_square()
+    return _diagonalizable_rows(clear_denominators(M.rows)[1], M.field.cardinality or 0)

@@ -286,10 +286,6 @@ class Poly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    @property
-    def is_monic(self) -> bool:
-        return not self.is_zero and self.leading == self.field.one()
-
     def _p(self, other: "Poly | None" = None) -> int:
         """The p of the list functions, after checking that other shares the field."""
         if other is not None and self.field != other.field:

@@ -37,8 +37,8 @@ from typing import Iterator
 from .errors import BudgetExceeded, InfiniteField, ZeroVector
 from .fields import Field
 from .forms import congruence_diagonalize
-from .matrices import Matrix, Vector, _matmul, char_poly_rows, clear_denominators
-from .matrices import is_diagonalizable, kernel_rows, rref_rows
+from .matrices import Matrix, Vector, _diagonalizable_rows, _matmul, char_poly_rows
+from .matrices import clear_denominators, kernel_rows, rref_rows
 from .polys import _roots, _simple_factor_mod
 from .spaces import DEFAULT_BUDGET, MatSpace, VecSpace, _unflatten
 
@@ -236,17 +236,18 @@ def all_diagonalizable(V: MatSpace, budget: int = DEFAULT_BUDGET, seed: int = 0)
     """Every member of V is diagonalizable over the ground field.
 
     c*M is diagonalizable exactly when M is, so each member L*M of the walk
-    `_members` is tested.  Over finite fields the walk is exhaustive (within
-    the budget on all q^dim members) and the witness is the first
-    non-diagonalizable member of the full enumeration.  Over the rationals
-    only the basis and a seeded sample are inspected for a falsifying
-    member; otherwise Unknown, since exhaustiveness is impossible.
+    `_members` is tested on its int rows by `_diagonalizable_rows`, and a
+    Matrix is built only for the witness.  Over finite fields the walk is
+    exhaustive (within the budget on all q^dim members) and the witness is
+    the first non-diagonalizable member of the full enumeration.  Over the
+    rationals only the basis and a seeded sample are inspected for a
+    falsifying member; otherwise Unknown, since exhaustiveness is impossible.
     """
-    F = V.field
+    F, p = V.field, V.field.cardinality or 0
     L, members, exhaustive = _members(V, budget, seed, _Q_SAMPLE_TRIVIAL)
-    for A in (Matrix(F, rows) for rows in members):
-        if not is_diagonalizable(A):
-            return Verdict.fails(_unscaled(A, L))
+    for A in members:
+        if not _diagonalizable_rows(A, p):
+            return Verdict.fails(_unscaled(Matrix(F, A), L))
     return Verdict.holds() if exhaustive else Verdict.unknown("infinite field: sampled members only")
 
 
@@ -299,7 +300,8 @@ def non_isotropic(P: Matrix, budget: int = DEFAULT_BUDGET) -> Verdict:
     budget raises BudgetExceeded before any is tried.  Rationals: a
     symmetric P whose congruence diagonal (`forms.congruence_diagonalize`)
     has entries of one sign is definite, which proves Holds; a zero value on
-    small integer vectors proves Fails; otherwise Unknown.
+    one of the 11^n - 1 nonzero vectors of [-5, 5]^n proves Fails; otherwise
+    Unknown, also without the search when 11^n - 1 exceeds the budget.
     """
     P._need_square()
     F = P.field
@@ -326,6 +328,9 @@ def non_isotropic(P: Matrix, budget: int = DEFAULT_BUDGET) -> Verdict:
         d = congruence_diagonalize(P)[1].diagonal_entries()
         if all(x > 0 for x in d) or all(x < 0 for x in d):
             return Verdict.holds()
+    vectors = 11**n - 1
+    if vectors > budget:
+        return Verdict.unknown(f"rationals: indefinite form, {vectors} small vectors exceed the budget {budget}")
     _, A = clear_denominators(P.rows)  # x^T (L*P) x = 0 exactly when x^T P x = 0
     for x in itertools.product(range(-5, 6), repeat=n):
         if any(x) and not sum(xi * sum(map(mul, row, x)) for xi, row in zip(x, A) if xi):

@@ -46,7 +46,7 @@ from .forms import ScaleNormalization, _single_class_rediagonalize, congruence_d
 from .forms import nondiag_witness, square_class_normalize
 from .matrices import Matrix, _matmul, invert, is_diagonalizable, kernel_rows, rref_rows
 from .predicates import FAILS, HOLDS, UNKNOWN, Verdict, _members, irreducible, non_isotropic, trivial_spectrum
-from .spaces import DEFAULT_BUDGET, MatSpace, _canonical
+from .spaces import DEFAULT_BUDGET, MatSpace, _canonical, _unflatten
 
 SUCCESS = "success"
 CONDITIONAL = "conditional_success"
@@ -137,35 +137,28 @@ def solve_symmetrizer(V: MatSpace, budget: int = DEFAULT_BUDGET) -> tuple[MatSpa
     The solution space is V.multipliers(Sym_n, "right").  The choice scans its
     canonical basis first, then its elements (finite fields, one per
     projective class, within the budget on all of them) or integer
-    combinations with coefficients in [-3, 3] (rationals).
+    combinations with coefficients in [-3, 3] (rationals).  Candidates are
+    tested as rows; a Matrix is built only for the P returned.
     """
-    F = V.field
-    n = V.n
+    F, n = V.field, V.n
     space = V.multipliers(MatSpace.standard("sym", n, F), "right")
-
-    def _invertible(rows) -> bool:
-        return len(rref_rows(F, rows)[1]) == n
-
-    for P in space.basis():
-        if _invertible(P.rows):
-            return space, P
     if space.dim == 0:
         raise NoInvertibleSolution("solution space is zero", exhaustive=True)
+    basis = (_unflatten(n, flat) for flat in space.rows)
     if F.is_finite:
         # Invertibility is scale-invariant, so the first invertible member is a walked one.
-        for rows in _members(space, budget)[1]:
-            if _invertible(rows):
-                return space, Matrix(F, rows)
+        rest = _members(space, budget)[1]
+    else:
+        combos = itertools.product(range(-3, 4), repeat=space.dim) if 7**space.dim <= budget else ()
+        rest = (_unflatten(n, _matmul([c], space.rows)[0]) for c in combos if any(c))
+    P = next((rows for rows in itertools.chain(basis, rest) if len(rref_rows(F, rows)[1]) == n), None)
+    if P is not None:
+        return space, Matrix(F, P)
+    if F.is_finite:
         raise NoInvertibleSolution(
             f"no invertible element among the {F.cardinality}^{space.dim} solutions",
             exhaustive=True,
         )
-    if 7**space.dim <= budget:
-        for coeffs in itertools.product(range(-3, 4), repeat=space.dim):
-            if any(coeffs):
-                P = space._unvec(_matmul([coeffs], space.rows)[0])
-                if _invertible(P.rows):
-                    return space, P
     raise NoInvertibleSolution(
         "bounded search over integer combinations found no invertible solution",
         exhaustive=False,

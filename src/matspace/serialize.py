@@ -355,6 +355,8 @@ def _recompute(report: dict, workers: int, heavy: bool) -> dict:
     budget, cap = _int_param(bounds, "budget"), _int_param(bounds, "cap")
     for key in ("n", "q", "d", "witness_limit") if kind == "census" else ("n", "q"):
         _int_param(r, key)
+    if kind == "census" and r["engine"] not in ("bits", "generic"):
+        raise InvalidInput(f"report engine must be 'bits' or 'generic', got {r['engine']!r}")
     if kind == "max_diag_dim":
         return max_diag_dim_report(r["n"], r["q"], budget, cap, heavy)["result"]
     if kind == "classification":

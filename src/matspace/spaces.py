@@ -140,8 +140,8 @@ class MatSpace:
 
     @classmethod
     def from_canonical_rows(cls, field: Field, n: int, rows: Sequence[Sequence]) -> "MatSpace":
-        """Trusted constructor for rows already in RREF (census stream output)."""
-        return cls(field, n, tuple(tuple(field.coerce(x) for x in r) for r in rows))
+        """Trusted constructor for rows of canonical residues already in RREF (census output)."""
+        return cls(field, n, tuple(map(tuple, rows)))
 
     @classmethod
     @cache

@@ -17,7 +17,8 @@ from fractions import Fraction
 
 from matspace import MatSpace, Matrix, VecSpace, Vector, char_poly, kernel_basis, min_poly
 from matspace.errors import ZeroVector
-from matspace.predicates import HOLDS, Verdict, projective_points
+from matspace.predicates import HOLDS, Verdict, _members, projective_points
+from matspace.spaces import DEFAULT_BUDGET
 
 
 class FieldPoly:
@@ -589,6 +590,22 @@ def all_diagonalizable_q_oracle(V: MatSpace, seed: int = 0) -> Verdict:
         if not diagonalizable_q_oracle(M):
             return Verdict.fails(M)
     return Verdict.unknown("infinite field: sampled members only")
+
+
+def all_diagonalizable_matrix_loop_oracle(V: MatSpace, seed: int = 0) -> Verdict:
+    """The loop `all_diagonalizable` ran before it tested int rows.
+
+    Each member L*M of the same walk, `predicates._members`, is wrapped in a
+    Matrix and decided by `diagonalizable_oracle` over GF(q) or by
+    `diagonalizable_q_oracle` over Q; the witness is that Matrix over L.
+    """
+    F = V.field
+    decide = diagonalizable_oracle if F.is_finite else diagonalizable_q_oracle
+    L, members, exhaustive = _members(V, DEFAULT_BUDGET, seed, _Q_SAMPLE_TRIVIAL)
+    for A in (Matrix(F, rows) for rows in members):
+        if not decide(A):
+            return Verdict.fails(A if L == 1 else A.scale(Fraction(1, L)))
+    return Verdict.holds() if exhaustive else Verdict.unknown("infinite field: sampled members only")
 
 
 def irreducible_q_oracle(V: MatSpace, seed: int = 0) -> Verdict:

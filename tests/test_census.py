@@ -324,6 +324,13 @@ def test_census_predicate_order_normalization():
     assert rep.predicates == ["trivial_spectrum", "all_diagonalizable", "irreducible"]
 
 
+@pytest.mark.parametrize("names", ["diag", "all_diagonalizable"])
+def test_census_rejects_a_string_of_predicates(names):
+    # A string is iterable, so it would be read letter by letter.
+    with pytest.raises(InvalidInput, match="predicates must be a list of names"):
+        census(2, 2, 1, names)
+
+
 def test_max_diag_dim():
     d_max, witness = max_diag_dim(2, 2)
     assert d_max == 2

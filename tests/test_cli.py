@@ -344,6 +344,28 @@ def test_verify_rejects_unknown_engine(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("engine", None, "report engine must be 'bits' or 'generic', got None"),
+        ("predicates", "all_diagonalizable", "predicates must be a list of names"),
+    ],
+)
+def test_verify_rejects_a_malformed_engine_or_predicates(capsys, tmp_path, key, value, message):
+    # A null engine would be recomputed with the automatic engine, and a
+    # string of predicates read letter by letter; both are input errors.
+    out = str(tmp_path / "census.json")
+    code, _ = run(capsys, *CENSUS_ARGV, "--output", out)
+    assert code == 1  # not every line of Mat_2(F_2) is diagonalizable
+    report = read_json(out)
+    report["result"][key] = value
+    write_json(out, report)
+    code = main(["verify", "--input", out])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert message in captured.err
+
+
 def test_classify_q5_roundtrip(capsys, tmp_path):
     out = str(tmp_path / "classify5.json")
     code, report = run(capsys, "census", "--task", "classify", "--n", "2", "--q", "5", "--output", out)

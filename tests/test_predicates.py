@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 import random
+import time
 
 import pytest
 
@@ -28,6 +29,7 @@ from matspace.polys import _simple_factor_mod
 from matspace.predicates import FAILS, HOLDS, UNKNOWN, Verdict, _norton_holds
 
 from oracles import (
+    all_diagonalizable_matrix_loop_oracle,
     all_diagonalizable_scan_oracle,
     irreducible_lines_oracle,
     berkowitz_oracle,
@@ -470,7 +472,26 @@ def test_non_isotropic_budget_bounds_the_prefixes():
     with pytest.raises(BudgetExceeded):
         non_isotropic(P, budget=7)  # 1 + 7 prefixes
     assert non_isotropic(P, budget=8) == non_isotropic(P) == non_isotropic_scan_oracle(P)
-    assert non_isotropic(Matrix.identity(Q, 3), budget=0).status == HOLDS  # the budget is for GF(p)
+    assert non_isotropic(Matrix.identity(Q, 3), budget=0).status == HOLDS  # definite at any budget
+
+
+def test_non_isotropic_budget_bounds_the_rational_search():
+    # Over Q an indefinite form is searched on the 11^n - 1 nonzero vectors
+    # of [-5, 5]^n; more vectors than the budget give Unknown without a search.
+    started = time.perf_counter()
+    v = non_isotropic(Matrix.diagonal(Q, [1] * 6 + [-1000]))
+    assert time.perf_counter() - started < 1
+    assert v.status == UNKNOWN and "19487170 small vectors exceed the budget 10000000" in v.reason
+    P = Matrix.diagonal(Q, [1, 1, 1, 1, -4])  # isotropic: (2, 0, 0, 0, 1)
+    skipped = non_isotropic(P, budget=161_049)
+    assert skipped.status == UNKNOWN and "161050 small vectors exceed the budget 161049" in skipped.reason
+    ran = non_isotropic(P, budget=161_050)
+    assert ran.status == FAILS and not ran.witness.is_zero and ran.witness.dot(P * ran.witness) == 0
+    hyper = Matrix.diagonal(Q, [1, -1])
+    assert non_isotropic(hyper, budget=119).status == UNKNOWN
+    v = non_isotropic(hyper, budget=120)
+    assert v.status == FAILS and not v.witness.is_zero and v.witness.dot(hyper * v.witness) == 0
+    assert non_isotropic(Matrix.identity(Q, 7), budget=1).status == HOLDS
 
 
 def member_scan_spaces(field, n, rng):
@@ -506,6 +527,47 @@ def test_member_predicates_match_the_full_scan():
                         key = (predicate.__name__, got.status)
                         statuses[key] = statuses.get(key, 0) + 1
     assert len(statuses) == 4 and min(statuses.values()) >= 40, statuses
+
+
+def test_all_diagonalizable_matches_the_matrix_loop():
+    # Testing the walked int rows must give the status and the witness of the
+    # loop that wrapped each member in a Matrix.
+    rng = random.Random(68)
+    statuses = set()
+    for field in (F2, F3, F7):
+        for n in (2, 3):
+            for _ in range(4):
+                for V in member_scan_spaces(field, n, rng):
+                    got = all_diagonalizable(V)
+                    assert got == all_diagonalizable_matrix_loop_oracle(V), (field, V.rows)
+                    statuses.add((field.p, got.status))
+    assert statuses == {(p, s) for p in (2, 3, 7) for s in (HOLDS, FAILS)}
+    # Over Q: the basis fails, a sampled combination fails ([[a, b], [0, b]]
+    # is diagonalizable unless a = b != 0), or every sample passes.
+    S = random_invertible(Q, 2, rng)
+    spaces = [
+        random_space(Q, 2, rng, 2),
+        random_space(Q, 3, rng, 1),
+        MatSpace.span([Matrix.diagonal(Q, [1, 0]), Matrix(Q, [[0, 1], [0, 1]])]).conjugate(S),
+        MatSpace.standard("diagonal", 2, Q).conjugate(S),
+        MatSpace.span([Matrix.diagonal(Q, [1, 2, 3])]).conjugate(random_invertible(Q, 3, rng)),
+    ]
+    verdicts = [all_diagonalizable(V, seed=i) for i, V in enumerate(spaces)]
+    assert verdicts == [all_diagonalizable_matrix_loop_oracle(V, seed=i) for i, V in enumerate(spaces)]
+    assert [v.status for v in verdicts] == [FAILS, FAILS, FAILS, UNKNOWN, UNKNOWN]
+    assert not any(verdicts[2].witness == B for B in spaces[2].basis())
+
+
+def test_a_passing_all_diagonalizable_coerces_nothing(monkeypatch):
+    # The walked members are canonical residues, and a Matrix is built only
+    # for a witness: D_3 over GF(3) tests its 13 projective members as rows.
+    D = MatSpace.standard("diagonal", 3, F3)
+    coerced, tested = [], []
+    coerce, rows_test = PrimeField.coerce, predicates._diagonalizable_rows
+    monkeypatch.setattr(PrimeField, "coerce", lambda self, x: coerced.append(x) or coerce(self, x))
+    monkeypatch.setattr(predicates, "_diagonalizable_rows", lambda A, p: tested.append(A) or rows_test(A, p))
+    assert all_diagonalizable(D) == Verdict.holds()
+    assert coerced == [] and len(tested) == 13
 
 
 def test_non_isotropic_matches_the_projective_scan():
