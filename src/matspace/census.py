@@ -10,23 +10,30 @@ One walk (`_walk`) produces this order for the census and for
 free values are the next digits of the product, and the walk picks the
 rows depth-first: row 0, then row 1 below it, and so on down to row d-1.
 When the first predicate of the chain is hereditary (`trivial_spectrum` or
-`all_diagonalizable`), the census tests the span of rows 0..k after each
-pick with k < d-1.  A failing span ends that branch: its
+`all_diagonalizable`), one prefix rule serves both engines.  The state of
+a prefix is the list of every member of its span.  Picking row k tests
+only the members row + x, x in that list, one per new projective class
+(both predicates are scale-invariant); then the list grows by them and
+their multiples 2..q-1.  A failing member ends the branch: its
 q^(free positions of rows k+1..d-1) bases count as processed, and none
-survives.  Only complete bases run the predicate chain (`meta.tested` in
-the report).  The pruning is exact:
+survives.  A second hereditary predicate tests a complete basis's whole
+list, `irreducible` its rows.  Only complete bases count as tested
+(`meta.tested` in the report).  The pruning is exact:
 - rows 0..k of a canonical RREF basis are a canonical RREF basis;
-- both predicates are exact scans over GF(q) and hold on every subspace of
-  a space they hold on, so a failing prefix span fails every basis below;
+- both predicates are exact over GF(q) and hold on every subspace of a
+  space they hold on, so a failing prefix span fails every basis below;
 - survivors come out in stream order, so counts and witness lists do not
   change, and the processed total still equals the Gaussian binomial.
 A chain that starts with `irreducible` is not pruned.
 
 Enumeration is embarrassingly parallel across contiguous pattern chunks; the
 merge is associative and order-fixed, so the report content is independent of
-the worker count.  For q = 2 and n <= 3 a bit-packed engine with lookup
-tables replaces the generic field path; both must agree and the tests compare
-them subspace for subspace.
+the worker count.  The engines differ only in member storage, member tests
+and irreducibility.  For q = 2 and n <= 3 the bit engine xors bitset ints,
+looks members up in the `gf2` tables and spins with `irreducible_bits`; the
+generic engine adds residue lists mod q, tests int rows
+(`_diagonalizable_rows`, `predicates._nonzero_eigenvalue`) and calls
+`irreducible`.  The tests compare them subspace for subspace.
 
 `census` is the only enumeration loop.  `max_diag_dim` and
 `verify_classification` take their subspaces from its witness lists, so they
@@ -44,20 +51,20 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 
 from . import gf2
 from ._version import __version__
 from .errors import BudgetExceeded, CapExceeded, InvalidInput, checked_int
 from .fields import PrimeField
-from .matrices import Matrix
-from .predicates import HOLDS, _members, non_isotropic
-# _holds looks all_diagonalizable, irreducible and trivial_spectrum up by name.
-from .predicates import all_diagonalizable, irreducible, trivial_spectrum  # noqa: F401
+from .matrices import Matrix, _diagonalizable_rows
+from .predicates import HOLDS, _members, _nonzero_eigenvalue, irreducible, non_isotropic
 from .recovery import recover
-from .spaces import DEFAULT_BUDGET, MatSpace
+from .spaces import DEFAULT_BUDGET, MatSpace, _unflatten
 
 DEFAULT_CAP = 10**7
 NON_HEAVY_LIMIT = 100_000
@@ -147,22 +154,24 @@ def _gate(n: int, q: int, d: int, cap: int, heavy: bool) -> int:
     return total
 
 
-def _walk(pattern, m: int, q: int, pack, grow=None, state=None):
-    """(rows, weight) for the RREF bases with this pivot pattern, in stream order.
+def _walk(pattern, m: int, q: int, pack, grow=None, state=()):
+    """(rows, weight, state) for the RREF bases with this pivot pattern, in stream order.
 
     Row k runs over the rows with pivot pattern[k] and zeros in the other
     pivot columns, its free entries in itertools.product order; pack turns
     each row, a list of m ints, into the engine's row type.  Nested over
     k = 0..d-1, this is the product over all free entries with the last
     varying fastest.  A complete basis comes with weight 1.  When grow is
-    given, each proper prefix is tested on the way down: grow(state, rows)
-    gets the state of rows[:-1] (state itself for the empty prefix) and
-    returns that of rows, or None when the span of rows fails; then the
-    prefix comes with the number of bases below it, which are not visited.
+    given, every pick is grown on the way down: grow(state, row) gets the
+    state of the prefix before row (state itself for the empty prefix) and
+    returns that of the prefix with it, or None when the span fails.  A
+    failed proper prefix comes with the number of bases below it, which are
+    not visited; a complete basis comes with its grown state, or None.
+    Without grow every basis comes with state as given.
     """
     d = len(pattern)
     if not d:
-        yield (), 1
+        yield (), 1, state
         return
     pivots = set(pattern)
     free = [[c for c in range(p + 1, m) if c not in pivots] for p in pattern]
@@ -184,14 +193,14 @@ def _walk(pattern, m: int, q: int, pack, grow=None, state=None):
         k = len(prefix)
         if k == d - 1:
             for row in level(k):
-                yield prefix + (row,), 1
+                yield prefix + (row,), 1, state if grow is None else grow(state, row)
             return
         for row in inner[k]:
             rows = prefix + (row,)
             if grow is None:
                 yield from descend(rows, state)
-            elif (grown := grow(state, rows)) is None:
-                yield rows, weights[k + 1]
+            elif (grown := grow(state, row)) is None:
+                yield rows, weights[k + 1], None
             else:
                 yield from descend(rows, grown)
 
@@ -205,27 +214,8 @@ def subspace_stream(n: int, q: int, d: int, cap: int = DEFAULT_CAP, heavy: bool 
     return (
         MatSpace.from_canonical_rows(field, n, rows)
         for pattern in itertools.combinations(range(m), d)
-        for rows, _ in _walk(pattern, m, q, tuple)
+        for rows, _, _ in _walk(pattern, m, q, tuple)
     )
-
-
-# -- per-subspace predicate evaluation ---------------------------------------
-
-
-def _holds(name: str, space: MatSpace, budget: int) -> bool:
-    # A canonical predicate name is the name of its function in this module.
-    # Looking it up at call time lets a tracer that rebinds the name see each call.
-    return globals()[name](space, budget).status == HOLDS
-
-
-def _members_in(rows, d: int, table) -> bool:
-    """Every nonzero member of the span of the bitset rows is marked in table."""
-    m = 0
-    for k in range(1, 1 << d):
-        m ^= rows[(k & -k).bit_length() - 1]
-        if not table[m]:
-            return False
-    return True
 
 
 def _census_chunk(args) -> tuple[dict, dict, int, int]:
@@ -237,60 +227,63 @@ def _census_chunk(args) -> tuple[dict, dict, int, int]:
     processed = tested = 0
     first = predicates[0]
     if engine == "bits":
-        tables = {
-            "all_diagonalizable": gf2.diagonalizable_table(n),
-            "trivial_spectrum": gf2.eigenvalue_one_free_table(n),
-        }
-        first_table = tables.get(first)
         action = gf2.action_table(n)
-        pack, space_of = gf2.pack_row, tuple  # the tables test the bitset rows themselves
-        root = [0]  # the state is the list of members of the prefix's span
+        member_holds = {
+            "all_diagonalizable": gf2.diagonalizable_table(n).__getitem__,
+            "trivial_spectrum": gf2.eigenvalue_one_free_table(n).__getitem__,
+        }
+        pack, unpack, add, zero = gf2.pack_row, partial(gf2.unpack_row, ncols=m), operator.xor, 0
 
-        def holds(p, rows):
-            table = tables.get(p)  # no table: irreducible
-            if table is None:
-                return gf2.irreducible_bits(rows, n, action)
-            return _members_in(rows, d, table)
-
-        def grow(span, rows):
-            # span lists the members of the prefix before rows[-1], which all
-            # passed; the new members are rows[-1] plus each of them.
-            new = [rows[-1] ^ x for x in span]
-            return span + new if all(first_table[x] for x in new) else None
-
-        def basis_rows(rows):
-            return [gf2.unpack_row(r, m) for r in rows]
+        def irreducible_rows(rows):
+            return gf2.irreducible_bits(rows, n, action)
     else:
         field = PrimeField(q)
-        pack, root = tuple, ()  # the state is the prefix itself
+        member_holds = {
+            "all_diagonalizable": lambda x: _diagonalizable_rows(_unflatten(n, x), q),
+            "trivial_spectrum": lambda x: not _nonzero_eigenvalue(_unflatten(n, x), q),
+        }
+        pack, unpack, zero = tuple, list, [0] * m
 
-        def space_of(rows):
-            return MatSpace.from_canonical_rows(field, n, rows)
+        def add(x, y):  # members are flat residue lists; rows are tuples
+            return [(a + b) % q for a, b in zip(x, y)]
 
-        def holds(p, space):
-            return _holds(p, space, budget)
+        def irreducible_rows(rows):
+            return irreducible(MatSpace.from_canonical_rows(field, n, rows), budget).status == HOLDS
 
-        def grow(prefix, rows):
-            return rows if holds(first, space_of(rows)) else None
+    first_holds, scalars = member_holds.get(first), range(2, q)
 
-        def basis_rows(rows):
-            return [list(r) for r in rows]
+    def grow(span, row):
+        # span lists every member of the prefix's span, all of which passed.
+        # Each row + x is one member of a new projective class, and the
+        # hereditary predicates are scale-invariant, so only those are tested;
+        # their multiples 2..q-1 complete the list (none for q = 2).
+        new = [add(row, x) for x in span]
+        if not all(map(first_holds, new)):
+            return None
+        span, multiple = span + new, new
+        for _ in scalars:
+            multiple = list(map(add, multiple, new))
+            span += multiple
+        return span
 
-    if first not in HEREDITARY:
-        grow = None
+    def holds(p, rows, span):
+        if p == "irreducible":
+            return irreducible_rows(rows)
+        # span is None when a member failed the first predicate
+        return span is not None and (p == first or all(map(member_holds[p], span)))
+
     for pattern in patterns:
-        for rows, weight in _walk(pattern, m, q, pack, grow, root):
+        for rows, weight, span in _walk(pattern, m, q, pack, grow if first in HEREDITARY else None, [zero]):
             processed += weight
             if len(rows) < d:
                 continue  # a failed prefix: every basis below it fails the first predicate
             tested += 1
-            space = space_of(rows)
             for p in predicates:
-                if not holds(p, space):
+                if not holds(p, rows, span):
                     break
                 counts[p] += 1
                 if len(witnesses[p]) < witness_limit:
-                    witnesses[p].append(basis_rows(rows))
+                    witnesses[p].append(list(map(unpack, rows)))
     return counts, witnesses, processed, tested
 
 

@@ -106,6 +106,8 @@ def square_class_normalize(D: Matrix) -> ScaleNormalization:
     some ratio is a non-square.
     """
     D._need_square()
+    if not D.nrows:
+        raise ShapeMismatch("square-class normalization needs a nonempty diagonal")
     F = D.field
     p = F.cardinality or 0
     d = D.diagonal_entries()

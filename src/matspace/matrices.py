@@ -423,6 +423,8 @@ def min_poly(M: Matrix) -> Poly:
     M._need_square()
     F = M.field
     n = M.nrows
+    if not n:
+        return Poly.one(F)  # the 0x0 identity is zero; char_poly agrees
     power = Matrix.identity(F, n)
     vecs = [list(power.vec())]
     for k in range(1, n + 1):

@@ -69,6 +69,25 @@ class Verdict:
         return cls(UNKNOWN, reason=reason)
 
 
+def _projective_lists(p: int, n: int) -> Iterator[list[int]]:
+    """One int list per projective point of GF(p)^n, lazily, in `projective_points` order.
+
+    A base-p odometer over the entries after the leading 1, the last
+    fastest; nothing of size p is built, so p near 2^31 starts at once.
+    """
+    for lead in range(n):
+        x = [0] * lead + [1] + [0] * (n - lead - 1)
+        while True:
+            yield x[:]
+            i = n - 1
+            while i > lead and x[i] == p - 1:
+                x[i] = 0
+                i -= 1
+            if i == lead:
+                break
+            x[i] += 1
+
+
 def projective_points(field: Field, n: int) -> Iterator[Vector]:
     """One representative per projective point of F^n.
 
@@ -78,12 +97,7 @@ def projective_points(field: Field, n: int) -> Iterator[Vector]:
     """
     if not field.is_finite:
         raise InfiniteField(f"{field} is infinite")
-    q = field.cardinality
-    for lead in range(n):
-        free = n - lead - 1
-        for tail in itertools.product(range(q), repeat=free):
-            entries = [field.zero()] * lead + [field.one()] + [field.coerce(t) for t in tail]
-            yield Vector(field, entries)
+    return (Vector(field, x) for x in _projective_lists(field.cardinality, n))
 
 
 def spin(V: MatSpace, v: Vector) -> VecSpace:
@@ -251,6 +265,16 @@ def all_diagonalizable(V: MatSpace, budget: int = DEFAULT_BUDGET, seed: int = 0)
     return Verdict.holds() if exhaustive else Verdict.unknown("infinite field: sampled members only")
 
 
+def _nonzero_eigenvalue(rows: list, p: int = 0) -> int:
+    """The least nonzero root of the char poly of the int matrix `rows`, or 0.
+
+    The one trivial-spectrum test of a member: `rows` passes when this is 0.
+    Over GF(p) the rows are residues and the root is one; over Q (p = 0)
+    they are L*M and the root is L times an eigenvalue of M.
+    """
+    return next((r for r in _roots(char_poly_rows(rows, p), p) if r), 0)
+
+
 def trivial_spectrum(V: MatSpace, budget: int = DEFAULT_BUDGET, seed: int = 0) -> Verdict:
     """No member of V has a nonzero eigenvalue in the ground field.
 
@@ -266,7 +290,7 @@ def trivial_spectrum(V: MatSpace, budget: int = DEFAULT_BUDGET, seed: int = 0) -
     F, p = V.field, V.field.cardinality or 0
     L, members, exhaustive = _members(V, budget, seed, _Q_SAMPLE_TRIVIAL)
     for A in members:
-        lam = next((r for r in _roots(char_poly_rows(A, p), p) if r), 0)
+        lam = _nonzero_eigenvalue(A, p)
         if lam:
             return Verdict.fails((_unscaled(Matrix(F, A), L), F.coerce(lam) if L == 1 else Fraction(lam, L)))
     return Verdict.holds() if exhaustive else Verdict.unknown("infinite field: sampled members only")
@@ -307,19 +331,19 @@ def non_isotropic(P: Matrix, budget: int = DEFAULT_BUDGET) -> Verdict:
     F = P.field
     n = P.nrows
     if F.is_finite:
+        if not n:
+            return Verdict.holds()  # F^0 has no nonzero vector
         p, rows = F.cardinality, P.rows
         prefixes = (p ** (n - 1) - 1) // (p - 1)
         if prefixes > budget:
             raise BudgetExceeded(prefixes, budget)
         a = rows[-1][-1]
-        for lead in range(n - 1):
-            for mid in itertools.product(range(p), repeat=n - lead - 2):
-                x = [0] * lead + [1, *mid]
-                b = sum((rows[i][-1] + rows[-1][i]) * xi for i, xi in enumerate(x))
-                c = sum(xi * sum(r * xj for r, xj in zip(rows[i], x)) for i, xi in enumerate(x) if xi)
-                z = _least_root_in_last(a, b % p, c % p, F)
-                if z is not None:
-                    return Verdict.fails(Vector(F, x + [z]))
+        for x in _projective_lists(p, n - 1):
+            b = sum((rows[i][-1] + rows[-1][i]) * xi for i, xi in enumerate(x))
+            c = sum(xi * sum(r * xj for r, xj in zip(rows[i], x)) for i, xi in enumerate(x) if xi)
+            z = _least_root_in_last(a, b % p, c % p, F)
+            if z is not None:
+                return Verdict.fails(Vector(F, x + [z]))
         if a == 0:
             return Verdict.fails(Vector.basis(F, n, n - 1))
         return Verdict.holds()

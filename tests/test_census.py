@@ -136,6 +136,7 @@ def test_census_engine_parity_irreducible_alone():
 CHAINS = (
     ("all_diagonalizable",),
     ("trivial_spectrum",),
+    ("trivial_spectrum", "all_diagonalizable"),
     ("trivial_spectrum", "irreducible"),
     ("all_diagonalizable", "irreducible"),
     ("irreducible",),
@@ -145,6 +146,7 @@ PARITY_SIZES = (
     + [(2, 3, d) for d in range(4)]
     + [(2, 5, 1), (2, 5, 2)]
     + [(3, 2, d) for d in range(1, 4)]
+    + [(3, 3, 1)]
 )
 
 
@@ -185,14 +187,16 @@ def _table_holds(n):
 
 @pytest.mark.parametrize("n,q,d", PARITY_SIZES)
 def test_census_matches_the_unpruned_enumeration(n, q, d):
-    # Pruning at failing prefixes must not move a count or a witness.  Past
-    # (3,2,1) the predicates on MatSpaces take seconds per census, so the
-    # reference decides by the GF(2) tables and only the bits engine runs
+    # Pruning at failing prefixes must not move a count or a witness.  For
+    # n = 3 and d >= 2 the predicates on MatSpaces take seconds per census, so
+    # the reference decides by the GF(2) tables and only the bits engine runs
     # (test_census_engine_parity_full_sweep_3_2_2 compares the engines
-    # there).  The unpruned irred-only chain stops at (3,2,2): at (3,2,3) it
-    # spins 788,035 times.
+    # there).  The irred-only chain is never pruned, so it is left out where
+    # it only costs time: at (3,2,3) it spins 788,035 times, and at (3,3,1)
+    # its 9,841 generic spins would double the test.
     big = n == 3 and d >= 2
-    chains = [c for c in CHAINS if (n, d, c) != (3, 3, ("irreducible",))]
+    unpruned = ("irreducible",)
+    chains = [c for c in CHAINS if c != unpruned or (n, q, d) not in ((3, 2, 3), (3, 3, 1))]
     holds = _table_holds(n) if big else _predicate_holds(n, q)
     expected = census_oracle(n, q, d, chains, holds)
     total = gaussian_binomial(n * n, d, q)
@@ -202,6 +206,22 @@ def test_census_matches_the_unpruned_enumeration(n, q, d):
             for chain in chains:
                 rep = census(n, q, d, chain, workers=workers, witness_limit=total, engine=engine, heavy=True)
                 assert (rep.counts, rep.witnesses) == expected[chain], (engine, workers, chain)
+
+
+def test_generic_member_tests_build_no_matrix_and_no_space(monkeypatch):
+    # Both hereditary predicates test each new member on its int rows, so a
+    # generic census whose chain starts with one builds no Matrix or MatSpace.
+    built = {}
+    for cls in (Matrix, MatSpace):
+
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__):
+            built[_name] = built.get(_name, 0) + 1
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    for chain in (["diag"], ["trivspec"], ["trivspec", "diag"]):
+        assert census(2, 3, 2, chain, engine="generic").tested > 0
+    assert built == {}
 
 
 def test_tested_counts_the_subspaces_the_chain_ran_on():

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from matspace import Matrix, PrimeField, RationalField
-from matspace.errors import Char2AlternatingResidual, MatSpaceError, ZeroDiagonalEntry
+from matspace.errors import Char2AlternatingResidual, MatSpaceError, ShapeMismatch, ZeroDiagonalEntry
 from matspace.fields import Field
 from matspace.forms import (
     _single_class_rediagonalize,
@@ -91,6 +91,12 @@ def test_forms_match_the_field_method_code(F):
         assert nondiag_witness(D, i) == nondiag_witness_field_ops_oracle(D, i)
         witnessed += 1
     assert witnessed and (repaired or not F.is_finite)
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_square_class_normalize_rejects_the_empty_diagonal(F):
+    with pytest.raises(ShapeMismatch):
+        square_class_normalize(Matrix(F, []))
 
 
 def test_congruence_in_characteristic_2_matches_the_field_method_code():

@@ -198,6 +198,12 @@ def test_min_poly_examples():
     assert min_poly(Matrix.zero(F7, 2)) == Poly(F7, [0, 1])  # t
 
 
+def test_min_poly_of_the_empty_matrix_is_one_like_char_poly():
+    for field in (F3, Q):
+        empty = Matrix(field, [])
+        assert min_poly(empty) == char_poly(empty) == Poly(field, [1])
+
+
 def test_min_poly_divides_char_poly_and_conjugation_invariance():
     rng = random.Random(5)
     for field in (F3, F7, Q):

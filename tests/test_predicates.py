@@ -1,6 +1,9 @@
 import itertools
 from fractions import Fraction
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -71,6 +74,46 @@ def test_projective_points():
 def test_projective_points_over_q_raise_infinite_field():
     with pytest.raises(InfiniteField):
         next(projective_points(Q, 2))
+
+
+def test_projective_points_follow_the_product_order():
+    for p in (2, 3, 5, 7):
+        F = PrimeField(p)
+        for n in range(1, 5):
+            product = [
+                (0,) * lead + (1,) + tail
+                for lead in range(n)
+                for tail in itertools.product(range(p), repeat=n - lead - 1)
+            ]
+            assert [x.entries for x in projective_points(F, n)] == product, (p, n)
+
+
+_LARGE_PRIME_CHILD = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from matspace import Matrix, PrimeField, non_isotropic, projective_points
+F = PrimeField(2**31 - 1)
+started = time.perf_counter()
+first = next(projective_points(F, 2)).entries
+verdict = non_isotropic(Matrix.identity(F, 3), budget=10**10)
+x = verdict.witness.entries
+print(first, verdict.status, sum(v * v for v in x) % F.cardinality, time.perf_counter() - started)
+"""
+
+
+def test_large_prime_projective_walks_start_at_once():
+    # Nothing of size p may be built: at p = 2^31 - 1 a tuple of range(p)
+    # is a MemoryError under the child's 1 GiB address-space limit.
+    pytest.importorskip("resource")
+    src = os.path.dirname(os.path.dirname(predicates.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run(
+        [sys.executable, "-c", _LARGE_PRIME_CHILD], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    first, status, value, elapsed = out.stdout.rsplit(" ", 3)
+    assert (first, status, value) == ("(1, 0)", FAILS, "0")  # an isotropic witness of x^T x
+    assert float(elapsed) < 1.0
 
 
 def test_spin_examples():
@@ -436,6 +479,11 @@ def test_non_isotropic_examples():
     for n in (2, 3, 4):
         assert non_isotropic(Matrix.identity(Q, n)).status == HOLDS
     assert non_isotropic(Matrix.identity(Q, 2) * -1).status == HOLDS  # negative definite
+
+
+def test_non_isotropic_of_the_empty_form_holds_on_both_fields():
+    for field in (F3, Q):
+        assert non_isotropic(Matrix(field, [])).status == HOLDS  # F^0 has no nonzero vector
 
 
 def test_non_isotropic_indefinite_over_q():
