@@ -26,14 +26,22 @@ list, `irreducible` its rows.  Only complete bases count as tested
   change, and the processed total still equals the Gaussian binomial.
 A chain that starts with `irreducible` is not pruned.
 
+On a line (d = 1) irreducibility is a member test too: <a> is irreducible
+exactly when chi_a is.  The <a>-stable subspaces of F^n are its
+F[a]-submodules, and F^n is a simple F[a]-module exactly when chi_a is
+irreducible.  A monic polynomial is irreducible exactly when it is its own
+simple irreducible factor (`polys._simple_factor_mod`), and each chunk keeps
+that verdict per char poly, of which there are at most q^n.  So no line
+spins; only d >= 2 calls the engine's irreducibility test.
+
 Enumeration is embarrassingly parallel across contiguous pattern chunks; the
 merge is associative and order-fixed, so the report content is independent of
-the worker count.  The engines differ only in member storage, member tests
-and irreducibility.  For q = 2 and n <= 3 the bit engine xors bitset ints,
-looks members up in the `gf2` tables and spins with `irreducible_bits`; the
-generic engine adds residue lists mod q, tests int rows
-(`_diagonalizable_rows`, `predicates._nonzero_eigenvalue`) and calls
-`irreducible`.  The tests compare them subspace for subspace.
+the worker count.  The engines differ only in rows, member storage, member
+tests and irreducibility.  For q = 2 and n <= 3 the bit engine builds bitset
+rows, xors them, looks members up in the `gf2` tables and spins with
+`irreducible_bits`; the generic engine builds residue tuples, adds them mod
+q, tests int rows (`_diagonalizable_rows`, `predicates._nonzero_eigenvalue`)
+and calls `irreducible`.  The tests compare them subspace for subspace.
 
 `census` is the only enumeration loop.  `max_diag_dim` and
 `verify_classification` take their subspaces from its witness lists, so they
@@ -61,7 +69,8 @@ from . import gf2
 from ._version import __version__
 from .errors import BudgetExceeded, CapExceeded, InvalidInput, checked_int
 from .fields import PrimeField
-from .matrices import Matrix, _diagonalizable_rows
+from .matrices import Matrix, _diagonalizable_rows, char_poly_rows
+from .polys import _simple_factor_mod
 from .predicates import HOLDS, _members, _nonzero_eigenvalue, irreducible, non_isotropic
 from .recovery import recover
 from .spaces import DEFAULT_BUDGET, MatSpace, _unflatten
@@ -154,12 +163,32 @@ def _gate(n: int, q: int, d: int, cap: int, heavy: bool) -> int:
     return total
 
 
-def _walk(pattern, m: int, q: int, pack, grow=None, state=()):
+def _tuple_rows(m: int, q: int, pivot: int, free):
+    """The rows of m residues with 1 at pivot, 0 off free and every assignment on free.
+
+    Assignments run in itertools.product order, the last free column fastest.
+    """
+    for values in itertools.product(range(q), repeat=len(free)):
+        row = [0] * m
+        row[pivot] = 1
+        for c, v in zip(free, values):
+            row[c] = v
+        yield tuple(row)
+
+
+def _bit_rows(pivot: int, free):
+    """The rows of _tuple_rows over GF(2), in the same order, as bitsets (bit j = column j)."""
+    base = 1 << pivot
+    for values in itertools.product(*[(0, 1 << c) for c in free]):
+        yield base | sum(values)
+
+
+def _walk(pattern, m: int, q: int, level, grow=None, state=()):
     """(rows, weight, state) for the RREF bases with this pivot pattern, in stream order.
 
     Row k runs over the rows with pivot pattern[k] and zeros in the other
-    pivot columns, its free entries in itertools.product order; pack turns
-    each row, a list of m ints, into the engine's row type.  Nested over
+    pivot columns, its free entries in itertools.product order;
+    level(pivot, free) yields them in the engine's row type.  Nested over
     k = 0..d-1, this is the product over all free entries with the last
     varying fastest.  A complete basis comes with weight 1.  When grow is
     given, every pick is grown on the way down: grow(state, row) gets the
@@ -176,23 +205,14 @@ def _walk(pattern, m: int, q: int, pack, grow=None, state=()):
     pivots = set(pattern)
     free = [[c for c in range(p + 1, m) if c not in pivots] for p in pattern]
     weights = [q ** sum(map(len, free[k:])) for k in range(d + 1)]
-
-    def level(k):
-        for values in itertools.product(range(q), repeat=len(free[k])):
-            row = [0] * m
-            row[pattern[k]] = 1
-            for c, v in zip(free[k], values):
-                row[c] = v
-            yield pack(row)
-
     # Inner levels are walked once per prefix, so they are built once; each
     # holds at most total^(1/d) rows.  The last level can hold q^(m-1).
-    inner = [list(level(k)) for k in range(d - 1)]
+    inner = [list(level(pattern[k], free[k])) for k in range(d - 1)]
 
     def descend(prefix, state):
         k = len(prefix)
         if k == d - 1:
-            for row in level(k):
+            for row in level(pattern[k], free[k]):
                 yield prefix + (row,), 1, state if grow is None else grow(state, row)
             return
         for row in inner[k]:
@@ -214,7 +234,7 @@ def subspace_stream(n: int, q: int, d: int, cap: int = DEFAULT_CAP, heavy: bool 
     return (
         MatSpace.from_canonical_rows(field, n, rows)
         for pattern in itertools.combinations(range(m), d)
-        for rows, _, _ in _walk(pattern, m, q, tuple)
+        for rows, _, _ in _walk(pattern, m, q, partial(_tuple_rows, m, q))
     )
 
 
@@ -232,7 +252,7 @@ def _census_chunk(args) -> tuple[dict, dict, int, int]:
             "all_diagonalizable": gf2.diagonalizable_table(n).__getitem__,
             "trivial_spectrum": gf2.eigenvalue_one_free_table(n).__getitem__,
         }
-        pack, unpack, add, zero = gf2.pack_row, partial(gf2.unpack_row, ncols=m), operator.xor, 0
+        level, unpack, add, zero = _bit_rows, partial(gf2.unpack_row, ncols=m), operator.xor, 0
 
         def irreducible_rows(rows):
             return gf2.irreducible_bits(rows, n, action)
@@ -242,7 +262,7 @@ def _census_chunk(args) -> tuple[dict, dict, int, int]:
             "all_diagonalizable": lambda x: _diagonalizable_rows(_unflatten(n, x), q),
             "trivial_spectrum": lambda x: not _nonzero_eigenvalue(_unflatten(n, x), q),
         }
-        pack, unpack, zero = tuple, list, [0] * m
+        level, unpack, zero = partial(_tuple_rows, m, q), list, [0] * m
 
         def add(x, y):  # members are flat residue lists; rows are tuples
             return [(a + b) % q for a, b in zip(x, y)]
@@ -266,14 +286,23 @@ def _census_chunk(args) -> tuple[dict, dict, int, int]:
             span += multiple
         return span
 
+    line_verdicts = {}  # tuple(chi_a) -> whether <a> is irreducible; at most q^n keys
+
+    def line_irreducible(row):  # the line rule of the module docstring
+        chi = char_poly_rows(_unflatten(n, unpack(row)), q)
+        key = tuple(chi)
+        if key not in line_verdicts:
+            line_verdicts[key] = _simple_factor_mod(chi, q) == chi
+        return line_verdicts[key]
+
     def holds(p, rows, span):
         if p == "irreducible":
-            return irreducible_rows(rows)
+            return line_irreducible(rows[0]) if d == 1 else irreducible_rows(rows)
         # span is None when a member failed the first predicate
         return span is not None and (p == first or all(map(member_holds[p], span)))
 
     for pattern in patterns:
-        for rows, weight, span in _walk(pattern, m, q, pack, grow if first in HEREDITARY else None, [zero]):
+        for rows, weight, span in _walk(pattern, m, q, level, grow if first in HEREDITARY else None, [zero]):
             processed += weight
             if len(rows) < d:
                 continue  # a failed prefix: every basis below it fails the first predicate
@@ -320,7 +349,8 @@ def census(
         raise BudgetExceeded(q**d, budget)
     # Irreducibility spins from every projective point of F_q^n in the worst
     # case, when Norton's criterion does not settle it; the bound holds on
-    # both engines, although only the generic one counts the spins.
+    # both engines and at every d, although lines make no spin and only the
+    # generic engine counts the spins.
     starts = (q**n - 1) // (q - 1)
     if "irreducible" in predicates and starts > budget:
         raise BudgetExceeded(starts, budget)

@@ -18,11 +18,6 @@ def unpack_row(bits: int, ncols: int) -> list[int]:
     return [(bits >> j) & 1 for j in range(ncols)]
 
 
-def pack_row(entries) -> int:
-    """The bitset of a 0/1 row; unpack_row inverts it."""
-    return sum(1 << j for j, v in enumerate(entries) if v)
-
-
 def rref_bits(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
     """Reduced row echelon form; returns (rows, pivot columns)."""
     work = list(rows)

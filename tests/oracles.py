@@ -391,6 +391,33 @@ def gaussian_binomial_oracle(m, d, q):
     return num // den if d else 1
 
 
+def irreducible_lines(n: int, q: int) -> int:
+    """Lines <a> of Mat_n(F_q), n >= 2, that no proper nonzero subspace of F_q^n is stable under.
+
+    <a> is irreducible exactly when chi_a is irreducible.  There are
+    N_q(n) = (1/n) * sum over e | n of mu(n/e) * q^e monic irreducibles of
+    degree n (Gauss); the matrices with one of them as char poly form one
+    GL_n(F_q) class, whose centralizer F_q[a]^* has order q^n - 1.  Scaling
+    by F_q^* keeps chi_a irreducible, and for n >= 2 the zero matrix is not
+    among them, so the lines are the matrices divided by q - 1.
+    """
+
+    def mobius(k):
+        sign, p = 1, 2
+        while k > 1:
+            if k % p == 0:
+                k //= p
+                if k % p == 0:
+                    return 0
+                sign = -sign
+            p += 1
+        return sign
+
+    monic_irreducibles = sum(mobius(n // e) * q**e for e in divisors_oracle(n)) // n
+    gl = math.prod(q**n - q**i for i in range(n))
+    return monic_irreducibles * gl // ((q**n - 1) * (q - 1))
+
+
 # -- unpruned census -------------------------------------------------------------
 #
 # The census enumeration as it was before it pruned at failing basis prefixes:

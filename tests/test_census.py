@@ -1,3 +1,4 @@
+import importlib
 from operator import mul
 
 import pytest
@@ -15,6 +16,8 @@ from matspace import (
 )
 from matspace import gf2, predicates
 from matspace.errors import BudgetExceeded, CapExceeded, InvalidInput
+from matspace.matrices import char_poly_rows
+from matspace.polys import _simple_factor_mod
 from matspace.predicates import HOLDS, non_isotropic
 from matspace.serialize import (
     canonical_json,
@@ -22,9 +25,11 @@ from matspace.serialize import (
     classification_result,
     max_diag_dim_result,
 )
+from matspace.spaces import _unflatten
 
-from oracles import alt_multiplier_oracle, census_oracle, gaussian_binomial_oracle
+from oracles import alt_multiplier_oracle, census_oracle, gaussian_binomial_oracle, irreducible_lines
 
+census_module = importlib.import_module("matspace.census")  # the package exports the function
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 
@@ -337,6 +342,39 @@ def test_census_budget_bounds_irreducible_starts_on_both_engines():
             census(3, 2, 1, ["irred"], budget=4, engine=engine)
         counts.append(census(3, 2, 1, ["irred"], budget=7, engine=engine).counts)
     assert counts[0] == counts[1] == {"irreducible": 48}
+
+
+@pytest.mark.parametrize("n,q,count", [(2, 2, 2), (2, 3, 9), (2, 5, 50), (3, 2, 48), (3, 3, 1728)])
+def test_irreducible_line_counts_match_the_closed_form(n, q, count):
+    assert irreducible_lines(n, q) == count
+    for engine in (["bits"] if q == 2 else []) + ["generic"]:
+        assert census(n, q, 1, ["irred"], engine=engine).counts == {"irreducible": count}
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (2, 5), (3, 2)])
+def test_a_line_is_irreducible_exactly_when_its_char_poly_is(n, q):
+    # The census's line rule, on every line against the spinning predicate;
+    # test_census_matches_the_unpruned_enumeration compares the census with
+    # the predicate on the same lines.
+    for space in subspace_stream(n, q, 1):
+        chi = char_poly_rows(_unflatten(n, space.rows[0]), q)
+        assert (_simple_factor_mod(chi, q) == chi) == (predicates.irreducible(space).status == HOLDS)
+
+
+def test_line_censuses_decide_irreducibility_without_spinning(monkeypatch):
+    calls = []
+    for module, name in ((census_module, "irreducible"), (gf2, "irreducible_bits"), (predicates, "spin")):
+
+        def counting(*args, _call=getattr(module, name), _name=name):
+            calls.append(_name)
+            return _call(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    for n, q, chain in ((3, 2, ["irred"]), (2, 2, ["diag", "irred"]), (2, 3, ["trivspec", "irred"])):
+        for engine in (["bits"] if q == 2 else []) + ["generic"]:
+            rep = census(n, q, 1, chain, engine=engine)
+            assert rep.counts[rep.predicates[0]] > 0  # some lines reached the irreducibility test
+    assert calls == []
 
 
 def test_census_predicate_order_normalization():
