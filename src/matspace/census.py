@@ -5,54 +5,55 @@ patterns in lexicographic order, then all free-entry assignments (last free
 position varying fastest).  The stream total always equals the Gaussian
 binomial [n^2 choose d]_q.
 
-One walk (`_walk`) produces this order for the census and for
-`subspace_stream`.  The free positions are ordered by basis row, so row k's
-free values are the next digits of the product, and the walk picks the
-rows depth-first: row 0, then row 1 below it, and so on down to row d-1.
-When the first predicate of the chain is hereditary (`trivial_spectrum` or
-`all_diagonalizable`), one prefix rule serves both engines.  The state of
-a prefix is the list of every member of its span.  Picking row k tests
-only the members row + x, x in that list, one per new projective class
-(both predicates are scale-invariant); then the list grows by them and
-their multiples 2..q-1.  A failing member ends the branch: its
-q^(free positions of rows k+1..d-1) bases count as processed, and none
-survives.  A second hereditary predicate tests a complete basis's whole
-list, `irreducible` its rows.  Only complete bases count as tested
-(`meta.tested` in the report).  The pruning is exact:
+The census predicates, with their names, aliases and early-exit order, are
+the records of `PREDICATES`.  A member predicate holds on a space when
+every member passes its test, so it holds on every subspace of a space it
+holds on.  Its test must be exact over GF(q) and scale-invariant (c*M
+passes exactly when M does), and its GF(2) table must agree with it; a new
+one is one more record.  Only `irreducible` has no member test.
+
+One walk (`_walk`) produces the stream order for the census and for
+`subspace_stream`: row k's free values are the next digits of the product,
+and the walk picks rows depth-first, row 0, then row 1 below it, down to
+row d-1.  When the chain starts with a member predicate, one prefix rule
+serves both engines.  The state of a prefix is the list of every member of
+its span.  Picking row k tests only the members row + x, x in that list,
+one per new projective class; then the list grows by them and their
+multiples 2..q-1.  A failing member ends the branch: its q^(free positions
+of rows k+1..d-1) bases count as processed, and none survives.  A second
+member predicate tests a complete basis's whole list, `irreducible` its
+rows.  Only complete bases count as tested (`meta.tested` in the report).
+The pruning is exact:
 - rows 0..k of a canonical RREF basis are a canonical RREF basis;
-- both predicates are exact over GF(q) and hold on every subspace of a
-  space they hold on, so a failing prefix span fails every basis below;
+- a failing prefix span is a subspace of every basis's span below it;
 - survivors come out in stream order, so counts and witness lists do not
   change, and the processed total still equals the Gaussian binomial.
 A chain that starts with `irreducible` is not pruned.
 
 On a line (d = 1) irreducibility is a member test too: <a> is irreducible
-exactly when chi_a is.  The <a>-stable subspaces of F^n are its
-F[a]-submodules, and F^n is a simple F[a]-module exactly when chi_a is
-irreducible.  A monic polynomial is irreducible exactly when it is its own
-simple irreducible factor (`polys._simple_factor_mod`), and each chunk keeps
-that verdict per char poly, of which there are at most q^n.  So no line
-spins; only d >= 2 calls the engine's irreducibility test.
+exactly when chi_a is, since the <a>-stable subspaces of F^n are its
+F[a]-submodules.  A monic polynomial is irreducible exactly when it is its
+own simple irreducible factor (`polys._simple_factor_mod`), and each chunk
+keeps that verdict per char poly, of which there are at most q^n.  So no
+line spins; only d >= 2 calls the engine's irreducibility test.
 
-Enumeration is embarrassingly parallel across contiguous pattern chunks; the
-merge is associative and order-fixed, so the report content is independent of
-the worker count.  The engines differ only in rows, member storage, member
-tests and irreducibility.  For q = 2 and n <= 3 the bit engine builds bitset
-rows, xors them, looks members up in the `gf2` tables and spins with
-`irreducible_bits`; the generic engine builds residue tuples, adds them mod
-q, tests int rows (`_diagonalizable_rows`, `predicates._nonzero_eigenvalue`)
-and calls `irreducible`.  The tests compare them subspace for subspace.
+Enumeration is embarrassingly parallel across contiguous pattern chunks;
+the merge is associative and order-fixed, so reports do not depend on the
+worker count.  The engines differ only in rows, member storage, member tests
+and irreducibility.  For q = 2 and n <= 3 the bit engine xors bitset rows,
+looks members up in the chain's `gf2` tables and spins with
+`irreducible_bits`; the generic engine adds residue tuples mod q, runs the
+member tests on int rows and calls `irreducible`.  Tests compare the two.
 
 `census` is the only enumeration loop.  `max_diag_dim` and
 `verify_classification` take their subspaces from its witness lists, so they
-run on both engines and share its gates: one entry gate (n >= 1, q, d, cap,
---heavy), which `subspace_stream` also uses, and the budget bounds on the q^d
-members of a subspace and, when irreducibility is tested, on the
-(q^n - 1)/(q - 1) spin starts of its worst case (Norton's criterion usually
-settles it with two spins, but a reducible space takes the projective
-scan).  The classification check itself is linear algebra: the P with
-V = P * Alt_n are the invertible members of Alt_n.multipliers(V, "left"),
-so it covers every census q.
+run on both engines and share its gates: the entry gate (n >= 1, q, d, cap,
+--heavy), also used by `subspace_stream`, and the budget bounds on the q^d
+members of a subspace and, with irreducibility, on the (q^n - 1)/(q - 1)
+spin starts of its worst case (Norton's criterion usually settles it with
+two spins; a reducible space takes the projective scan).  The
+classification check is linear algebra: the P with V = P * Alt_n are the
+invertible members of Alt_n.multipliers(V, "left"), for every census q.
 """
 
 from __future__ import annotations
@@ -61,9 +62,11 @@ import itertools
 import math
 import operator
 import time
+from collections.abc import Callable, Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from functools import partial
+from typing import NamedTuple
 
 from . import gf2
 from ._version import __version__
@@ -71,7 +74,7 @@ from .errors import BudgetExceeded, CapExceeded, InvalidInput, checked_int
 from .fields import PrimeField
 from .matrices import Matrix, _diagonalizable_rows, char_poly_rows
 from .polys import _simple_factor_mod
-from .predicates import HOLDS, _members, _nonzero_eigenvalue, irreducible, non_isotropic
+from .predicates import HOLDS, _members, _trivial_spectrum_rows, irreducible, non_isotropic
 from .recovery import recover
 from .spaces import DEFAULT_BUDGET, MatSpace, _unflatten
 
@@ -79,20 +82,28 @@ DEFAULT_CAP = 10**7
 NON_HEAVY_LIMIT = 100_000
 SUPPORTED_Q = (2, 3, 5)
 
-# Cheapest test first: the early-exit order of every census.
-PREDICATE_ORDER = ("trivial_spectrum", "all_diagonalizable", "irreducible")
-# Closed under subspaces: a basis prefix that fails one rules out its subtree.
-HEREDITARY = ("trivial_spectrum", "all_diagonalizable")
 
-PREDICATE_ALIASES = {
-    "diag": "all_diagonalizable",
-    "all_diagonalizable": "all_diagonalizable",
-    "trivspec": "trivial_spectrum",
-    "ts": "trivial_spectrum",
-    "trivial_spectrum": "trivial_spectrum",
-    "irred": "irreducible",
-    "irreducible": "irreducible",
-}
+class Predicate(NamedTuple):
+    name: str
+    aliases: tuple[str, ...]
+    member_test: Callable[[list, int], bool] | None = None  # (int rows mod q, q) -> the member passes
+    gf2_table: Callable[[int], tuple[bool, ...]] | None = None  # n -> the test on every packed member
+
+
+# Cheapest test first: the early-exit order of every census, member predicates
+# before the rest.  The tables are looked up in `gf2` when called, so a patched
+# or cleared table is the one used.
+PREDICATES = (
+    Predicate(
+        "trivial_spectrum", ("trivspec", "ts"), _trivial_spectrum_rows, lambda n: gf2.eigenvalue_one_free_table(n)
+    ),
+    Predicate(
+        "all_diagonalizable", ("diag",), _diagonalizable_rows, lambda n: gf2.diagonalizable_table(n)
+    ),
+    Predicate("irreducible", ("irred",)),
+)
+_BY_NAME = {rec.name: rec for rec in PREDICATES}
+_ALIASES = {alias: rec.name for rec in PREDICATES for alias in (rec.name, *rec.aliases)}
 
 
 def gaussian_binomial(m: int, d: int, q: int) -> int:
@@ -109,16 +120,16 @@ def gaussian_binomial(m: int, d: int, q: int) -> int:
 
 
 def normalize_predicates(names) -> list[str]:
-    if isinstance(names, str):
-        raise InvalidInput(f"predicates must be a list of names, not the string {names!r}")
-    out = []
+    """Canonical names, each once, in the order of PREDICATES."""
+    if isinstance(names, str) or not isinstance(names, Iterable):
+        raise InvalidInput(f"predicates must be a list of names, not {names!r}")
+    chosen = set()
     for name in names:
-        key = PREDICATE_ALIASES.get(str(name).strip().lower())
+        key = _ALIASES.get(str(name).strip().lower())
         if key is None:
             raise InvalidInput(f"unknown predicate {name!r}")
-        if key not in out:
-            out.append(key)
-    return sorted(out, key=PREDICATE_ORDER.index)
+        chosen.add(key)
+    return [name for name in _BY_NAME if name in chosen]
 
 
 @dataclass
@@ -246,22 +257,18 @@ def _census_chunk(args) -> tuple[dict, dict, int, int]:
     witnesses = {p: [] for p in predicates}
     processed = tested = 0
     first = predicates[0]
+    member_preds = [rec for rec in map(_BY_NAME.get, predicates) if rec.member_test]
     if engine == "bits":
-        action = gf2.action_table(n)
-        member_holds = {
-            "all_diagonalizable": gf2.diagonalizable_table(n).__getitem__,
-            "trivial_spectrum": gf2.eigenvalue_one_free_table(n).__getitem__,
-        }
+        # Only the chain's tables, and the action table only when d >= 2 spins.
+        member_holds = {rec.name: rec.gf2_table(n).__getitem__ for rec in member_preds}
+        action = gf2.action_table(n) if d >= 2 and "irreducible" in predicates else None
         level, unpack, add, zero = _bit_rows, partial(gf2.unpack_row, ncols=m), operator.xor, 0
 
         def irreducible_rows(rows):
             return gf2.irreducible_bits(rows, n, action)
     else:
         field = PrimeField(q)
-        member_holds = {
-            "all_diagonalizable": lambda x: _diagonalizable_rows(_unflatten(n, x), q),
-            "trivial_spectrum": lambda x: not _nonzero_eigenvalue(_unflatten(n, x), q),
-        }
+        member_holds = {rec.name: lambda x, t=rec.member_test: t(_unflatten(n, x), q) for rec in member_preds}
         level, unpack, zero = partial(_tuple_rows, m, q), list, [0] * m
 
         def add(x, y):  # members are flat residue lists; rows are tuples
@@ -274,8 +281,8 @@ def _census_chunk(args) -> tuple[dict, dict, int, int]:
 
     def grow(span, row):
         # span lists every member of the prefix's span, all of which passed.
-        # Each row + x is one member of a new projective class, and the
-        # hereditary predicates are scale-invariant, so only those are tested;
+        # Each row + x is one member of a new projective class, and every
+        # member test is scale-invariant, so only those are tested;
         # their multiples 2..q-1 complete the list (none for q = 2).
         new = [add(row, x) for x in span]
         if not all(map(first_holds, new)):
@@ -296,13 +303,14 @@ def _census_chunk(args) -> tuple[dict, dict, int, int]:
         return line_verdicts[key]
 
     def holds(p, rows, span):
-        if p == "irreducible":
+        test = member_holds.get(p)
+        if test is None:  # irreducibility, the one predicate without a member test
             return line_irreducible(rows[0]) if d == 1 else irreducible_rows(rows)
         # span is None when a member failed the first predicate
-        return span is not None and (p == first or all(map(member_holds[p], span)))
+        return span is not None and (p == first or all(map(test, span)))
 
     for pattern in patterns:
-        for rows, weight, span in _walk(pattern, m, q, level, grow if first in HEREDITARY else None, [zero]):
+        for rows, weight, span in _walk(pattern, m, q, level, grow if first_holds else None, [zero]):
             processed += weight
             if len(rows) < d:
                 continue  # a failed prefix: every basis below it fails the first predicate
@@ -330,7 +338,7 @@ def census(
 ) -> CensusReport:
     """Count the subspaces surviving the predicate filter chain.
 
-    Predicates are applied in cheap-first order (PREDICATE_ORDER) with
+    Predicates are applied in cheap-first order (that of PREDICATES) with
     early exit, whatever order they are given in; counts[p] tallies the
     subspaces that satisfied p and every predicate before it, so the last
     entry is the conjunction count.  Fully independent tallies come from
@@ -362,15 +370,9 @@ def census(
     started = time.perf_counter()
     pattern_count = math.comb(n * n, d)
     workers = min(workers, pattern_count)
-    bounds = [
-        (i * pattern_count // workers, (i + 1) * pattern_count // workers)
-        for i in range(workers)
-    ]
-    args = [
-        (n, q, d, start, stop, predicates, budget, witness_limit, engine)
-        for start, stop in bounds
-        if stop > start
-    ]
+    # workers <= pattern_count, so no chunk is empty
+    bounds = [(i * pattern_count // workers, (i + 1) * pattern_count // workers) for i in range(workers)]
+    args = [(n, q, d, start, stop, predicates, budget, witness_limit, engine) for start, stop in bounds]
     if workers == 1:
         partials = [_census_chunk(a) for a in args]
     else:
@@ -388,9 +390,7 @@ def census(
             if len(witnesses[p]) < witness_limit:
                 witnesses[p].extend(pwits[p][: witness_limit - len(witnesses[p])])
     if processed != total:
-        raise AssertionError(
-            f"stream produced {processed} subspaces; expected {total}"
-        )
+        raise AssertionError(f"stream produced {processed} subspaces; expected {total}")
     return CensusReport(
         n=n,
         q=q,
@@ -405,7 +405,7 @@ def census(
         witnesses=witnesses,
         elapsed=time.perf_counter() - started,
         workers=len(args),
-        partition=[stop - start for start, stop in bounds if stop > start],
+        partition=[stop - start for start, stop in bounds],
         tested=tested,
     )
 

@@ -226,19 +226,6 @@ class Matrix:
 
     __matmul__ = __mul__
 
-    def __pow__(self, k: int) -> "Matrix":
-        self._need_square()
-        if k < 0:
-            return invert(self) ** (-k)
-        out = Matrix.identity(self.field, self.nrows)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)

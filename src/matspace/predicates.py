@@ -275,6 +275,11 @@ def _nonzero_eigenvalue(rows: list, p: int = 0) -> int:
     return next((r for r in _roots(char_poly_rows(rows, p), p) if r), 0)
 
 
+def _trivial_spectrum_rows(rows: list, p: int = 0) -> bool:
+    """Whether `_nonzero_eigenvalue(rows, p)` is 0, without finding the root: the census member test."""
+    return not any(_roots(char_poly_rows(rows, p), p))
+
+
 def trivial_spectrum(V: MatSpace, budget: int = DEFAULT_BUDGET, seed: int = 0) -> Verdict:
     """No member of V has a nonzero eigenvalue in the ground field.
 

@@ -391,6 +391,53 @@ def gaussian_binomial_oracle(m, d, q):
     return num // den if d else 1
 
 
+def gl_order(n: int, q: int) -> int:
+    """|GL_n(F_q)| = (q^n - 1)(q^n - q)...(q^n - q^(n-1)); 1 for n = 0."""
+    return math.prod(q**n - q**i for i in range(n))
+
+
+def diagonalizable_lines(n: int, q: int) -> int:
+    """Lines of Mat_n(F_q) spanned by a diagonalizable matrix.
+
+    A diagonalizable matrix is fixed by its eigenvalue multiplicities
+    (m_a for a in F_q, summing to n) and its eigenspaces, a decomposition of
+    F_q^n whose stabilizer is the product of the GL_(m_a); so there are
+    |GL_n| / prod |GL_(m_a)| of them per multiplicity vector.  Less the zero
+    matrix, scaling by F_q^* makes lines.
+    """
+    parts = (m for m in itertools.product(range(n + 1), repeat=q) if sum(m) == n)
+    matrices = sum(gl_order(n, q) // math.prod(gl_order(k, q) for k in m) for m in parts)
+    return (matrices - 1) // (q - 1)
+
+
+def maximal_diagonalizable_spaces(n: int, q: int) -> int:
+    """The conjugates S*D_n*S^-1 of the diagonal matrices D_n in Mat_n(F_q).
+
+    |GL_n| over the order n!(q-1)^n of D_n's normalizer, the monomial
+    matrices.  Where the census reaches, they are all the n-dimensional
+    all-diagonalizable subspaces.
+    """
+    return gl_order(n, q) // (math.factorial(n) * (q - 1) ** n)
+
+
+def trivial_spectrum_lines(n: int, q: int) -> int:
+    """Lines of Mat_n(F_q) spanned by a matrix with no nonzero eigenvalue, for q = 2 or n = 2.
+
+    Over F_2 the only nonzero eigenvalue is 1, so M passes exactly when
+    M + I is invertible: |GL_n(F_2)| matrices, the zero matrix among them.
+    At n = 2, M passes when chi_M is t^2 (the q^2 nilpotents, zero included)
+    or irreducible, for which there are (q^2 - q)/2 char polys, each with
+    |GL_2| / (q^2 - 1) = q^2 - q matrices.
+    """
+    if q == 2:
+        matrices = gl_order(n, 2)
+    elif n == 2:
+        matrices = q**2 + (q**2 - q) ** 2 // 2
+    else:
+        raise ValueError("no closed form for this size")
+    return (matrices - 1) // (q - 1)
+
+
 def irreducible_lines(n: int, q: int) -> int:
     """Lines <a> of Mat_n(F_q), n >= 2, that no proper nonzero subspace of F_q^n is stable under.
 
@@ -414,8 +461,7 @@ def irreducible_lines(n: int, q: int) -> int:
         return sign
 
     monic_irreducibles = sum(mobius(n // e) * q**e for e in divisors_oracle(n)) // n
-    gl = math.prod(q**n - q**i for i in range(n))
-    return monic_irreducibles * gl // ((q**n - 1) * (q - 1))
+    return monic_irreducibles * gl_order(n, q) // ((q**n - 1) * (q - 1))
 
 
 # -- unpruned census -------------------------------------------------------------

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 from operator import mul
 
 import pytest
@@ -27,7 +28,15 @@ from matspace.serialize import (
 )
 from matspace.spaces import _unflatten
 
-from oracles import alt_multiplier_oracle, census_oracle, gaussian_binomial_oracle, irreducible_lines
+from oracles import (
+    alt_multiplier_oracle,
+    census_oracle,
+    diagonalizable_lines,
+    gaussian_binomial_oracle,
+    irreducible_lines,
+    maximal_diagonalizable_spaces,
+    trivial_spectrum_lines,
+)
 
 census_module = importlib.import_module("matspace.census")  # the package exports the function
 F2 = PrimeField(2)
@@ -344,11 +353,39 @@ def test_census_budget_bounds_irreducible_starts_on_both_engines():
     assert counts[0] == counts[1] == {"irreducible": 48}
 
 
+def _engines(q):
+    return (["bits"] if q == 2 else []) + ["generic"]
+
+
 @pytest.mark.parametrize("n,q,count", [(2, 2, 2), (2, 3, 9), (2, 5, 50), (3, 2, 48), (3, 3, 1728)])
 def test_irreducible_line_counts_match_the_closed_form(n, q, count):
     assert irreducible_lines(n, q) == count
-    for engine in (["bits"] if q == 2 else []) + ["generic"]:
+    for engine in _engines(q):
         assert census(n, q, 1, ["irred"], engine=engine).counts == {"irreducible": count}
+
+
+@pytest.mark.parametrize("n,q,count", [(2, 2, 7), (2, 3, 19), (2, 5, 76), (3, 2, 57), (3, 3, 1054)])
+def test_diagonalizable_line_counts_match_the_closed_form(n, q, count):
+    assert diagonalizable_lines(n, q) == count
+    for engine in _engines(q):
+        assert census(n, q, 1, ["diag"], engine=engine).counts == {"all_diagonalizable": count}
+
+
+@pytest.mark.parametrize("n,q,count", [(2, 2, 3), (2, 3, 6), (2, 5, 15), (3, 2, 28)])
+def test_maximal_diagonalizable_space_counts_match_the_closed_form(n, q, count):
+    # d = n is the largest dimension: nothing above it is all-diagonalizable.
+    assert maximal_diagonalizable_spaces(n, q) == count
+    for engine in _engines(q):
+        for d, expected in ((n, count), (n + 1, 0)):
+            rep = census(n, q, d, ["diag"], engine=engine, heavy=True)
+            assert rep.counts == {"all_diagonalizable": expected}
+
+
+@pytest.mark.parametrize("n,q,count", [(2, 2, 5), (2, 3, 13), (2, 5, 56), (3, 2, 167)])
+def test_trivial_spectrum_line_counts_match_the_closed_form(n, q, count):
+    assert trivial_spectrum_lines(n, q) == count
+    for engine in _engines(q):
+        assert census(n, q, 1, ["trivspec"], engine=engine).counts == {"trivial_spectrum": count}
 
 
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (2, 5), (3, 2)])
@@ -371,10 +408,46 @@ def test_line_censuses_decide_irreducibility_without_spinning(monkeypatch):
 
         monkeypatch.setattr(module, name, counting)
     for n, q, chain in ((3, 2, ["irred"]), (2, 2, ["diag", "irred"]), (2, 3, ["trivspec", "irred"])):
-        for engine in (["bits"] if q == 2 else []) + ["generic"]:
+        for engine in _engines(q):
             rep = census(n, q, 1, chain, engine=engine)
             assert rep.counts[rep.predicates[0]] > 0  # some lines reached the irreducibility test
     assert calls == []
+
+
+MEMBER_PREDICATES = [rec for rec in census_module.PREDICATES if rec.member_test]
+
+
+def test_every_predicate_record_has_its_names_and_a_library_predicate():
+    for rec in census_module.PREDICATES:
+        for alias in (rec.name, *rec.aliases):
+            assert census_module.normalize_predicates([alias.upper()]) == [rec.name]
+        assert callable(getattr(predicates, rec.name))
+        assert (rec.member_test is None) == (rec.gf2_table is None)
+    # A prefix keeps a member list only when the chain starts with a member
+    # predicate, so every predicate without a member test comes last.
+    has_test = [rec.member_test is not None for rec in census_module.PREDICATES]
+    assert has_test == sorted(has_test, reverse=True)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_each_gf2_table_is_its_records_member_test(n):
+    # bit n*i + j of a packed matrix is entry (i, j)
+    for rec in MEMBER_PREDICATES:
+        table = rec.gf2_table(n)
+        assert len(table) == 1 << (n * n)
+        for m, verdict in enumerate(table):
+            rows = [[(m >> (n * i + j)) & 1 for j in range(n)] for i in range(n)]
+            assert verdict == rec.member_test(rows, 2), (rec.name, rows)
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_every_member_test_is_scale_invariant(q):
+    # The prefix rule tests one member per projective class.
+    for rec in MEMBER_PREDICATES:
+        for a, b, c, d in itertools.product(range(q), repeat=4):
+            verdict = rec.member_test([[a, b], [c, d]], q)
+            for k in range(2, q):
+                assert rec.member_test([[k * a % q, k * b % q], [k * c % q, k * d % q]], q) == verdict
 
 
 def test_census_predicate_order_normalization():
@@ -382,9 +455,10 @@ def test_census_predicate_order_normalization():
     assert rep.predicates == ["trivial_spectrum", "all_diagonalizable", "irreducible"]
 
 
-@pytest.mark.parametrize("names", ["diag", "all_diagonalizable"])
+@pytest.mark.parametrize("names", ["diag", "all_diagonalizable", 5, None])
 def test_census_rejects_a_string_of_predicates(names):
-    # A string is iterable, so it would be read letter by letter.
+    # A string is iterable, so it would be read letter by letter; 5 and None
+    # are not iterable at all.
     with pytest.raises(InvalidInput, match="predicates must be a list of names"):
         census(2, 2, 1, names)
 

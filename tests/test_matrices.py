@@ -167,8 +167,8 @@ def test_cayley_hamilton_random():
                 M = random_matrix(field, n, rng)
                 chi = char_poly(M)
                 acc = Matrix.zero(field, n)
-                for i, c in enumerate(chi.coeffs):
-                    acc = acc + (M**i) * c
+                for c in reversed(chi.coeffs):  # Horner
+                    acc = acc * M + Matrix.identity(field, n) * c
                 assert acc.is_zero
 
 
@@ -177,8 +177,8 @@ def test_cayley_hamilton_hypothesis(entries):
     M = Matrix(F7, [entries[0:3], entries[3:6], entries[6:9]])
     chi = char_poly(M)
     acc = Matrix.zero(F7, 3)
-    for i, c in enumerate(chi.coeffs):
-        acc = acc + (M**i) * c
+    for c in reversed(chi.coeffs):  # Horner
+        acc = acc * M + Matrix.identity(F7, 3) * c
     assert acc.is_zero
 
 

@@ -146,6 +146,13 @@ def test_census_report_verify_and_meta_split():
     assert not ok
 
 
+def test_verify_rejects_a_census_report_without_a_list_of_predicates():
+    report = census_report_json(census(2, 2, 1, ["diag"]))
+    report["result"]["predicates"] = None
+    with pytest.raises(InvalidInput, match="predicates must be a list of names"):
+        verify_report(report)
+
+
 def test_verify_rejects_unknown_type():
     with pytest.raises(InvalidInput):
         verify_report({"type": "mystery"})
