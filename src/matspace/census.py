@@ -30,12 +30,23 @@ The pruning is exact:
   change, and the processed total still equals the Gaussian binomial.
 A chain that starts with `irreducible` is not pruned.
 
-On a line (d = 1) irreducibility is a member test too: <a> is irreducible
-exactly when chi_a is, since the <a>-stable subspaces of F^n are its
-F[a]-submodules.  A monic polynomial is irreducible exactly when it is its
-own simple irreducible factor (`polys._simple_factor_mod`), and each chunk
-keeps that verdict per char poly, of which there are at most q^n.  So no
-line spins; only d >= 2 calls the engine's irreducibility test.
+On a line (d = 1) every predicate is a test of its generator a, and a
+record's line rule reads the verdict on <a> off chi_a alone:
+- `trivial_spectrum`: chi_a has no nonzero root (`polys._roots`);
+- `irreducible`: chi_a is its own simple irreducible factor
+  (`polys._simple_factor_mod`), since the <a>-stable subspaces of F^n are
+  its F[a]-submodules;
+- `all_diagonalizable` has no line rule and keeps its member test.
+Each chunk computes chi_a once per line and keeps the rules' verdicts per
+char poly, of which there are at most q^n.  The generic engine uses every
+line rule of its chain; the bits engine keeps its table lookups and uses
+only the rule of `irreducible`.  So no line spins; only d >= 2 calls the
+engine's irreducibility test.  chi_a is affine in the last row r of a: with
+H the first n - 1 rows,
+    chi_[H; r] = chi_[H; 0] + sum_j r_j (chi_[H; e_j] - chi_[H; 0])  mod q,
+because det(tI - M) is linear in the last row t e_(n-1) - r of tI - M.
+Consecutive lines share H (the last free position varies fastest), so a
+chunk runs Berkowitz n + 1 times per head H, not once or twice per line.
 
 Enumeration is embarrassingly parallel across contiguous pattern chunks;
 the merge is associative and order-fixed, so reports do not depend on the
@@ -62,7 +73,7 @@ import itertools
 import math
 import operator
 import time
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from functools import partial
@@ -73,7 +84,7 @@ from ._version import __version__
 from .errors import BudgetExceeded, CapExceeded, InvalidInput, checked_int
 from .fields import PrimeField
 from .matrices import Matrix, _diagonalizable_rows, char_poly_rows
-from .polys import _simple_factor_mod
+from .polys import _roots, _simple_factor_mod
 from .predicates import HOLDS, _members, _trivial_spectrum_rows, irreducible, non_isotropic
 from .recovery import recover
 from .spaces import DEFAULT_BUDGET, MatSpace, _unflatten
@@ -88,19 +99,24 @@ class Predicate(NamedTuple):
     aliases: tuple[str, ...]
     member_test: Callable[[list, int], bool] | None = None  # (int rows mod q, q) -> the member passes
     gf2_table: Callable[[int], tuple[bool, ...]] | None = None  # n -> the test on every packed member
+    line_rule: Callable[[list, int], bool] | None = None  # (chi_a mod q, q) -> <a> passes
 
 
 # Cheapest test first: the early-exit order of every census, member predicates
-# before the rest.  The tables are looked up in `gf2` when called, so a patched
-# or cleared table is the one used.
+# before the rest.  The tables and the polynomial helpers are looked up when
+# called, so a patched or cleared one is the one used.
 PREDICATES = (
     Predicate(
-        "trivial_spectrum", ("trivspec", "ts"), _trivial_spectrum_rows, lambda n: gf2.eigenvalue_one_free_table(n)
+        "trivial_spectrum",
+        ("trivspec", "ts"),
+        _trivial_spectrum_rows,
+        lambda n: gf2.eigenvalue_one_free_table(n),
+        lambda chi, q: not any(_roots(chi, q)),
     ),
     Predicate(
         "all_diagonalizable", ("diag",), _diagonalizable_rows, lambda n: gf2.diagonalizable_table(n)
     ),
-    Predicate("irreducible", ("irred",)),
+    Predicate("irreducible", ("irred",), line_rule=lambda chi, q: _simple_factor_mod(chi, q) == chi),
 )
 _BY_NAME = {rec.name: rec for rec in PREDICATES}
 _ALIASES = {alias: rec.name for rec in PREDICATES for alias in (rec.name, *rec.aliases)}
@@ -238,6 +254,36 @@ def _walk(pattern, m: int, q: int, level, grow=None, state=()):
     yield from descend((), state)
 
 
+def _line_char_poly(n: int, q: int) -> Callable[[Sequence], list[int]]:
+    """chi_a mod q of flat residue rows a, from n + 1 Berkowitz runs per head.
+
+    The head H of a is its first n - 1 matrix rows; the affine identity of
+    the module docstring gives chi_a from (chi_[H; 0], the steps
+    chi_[H; e_j] - chi_[H; 0]), which are kept until H changes.
+    """
+    cut = n * (n - 1)
+    head, base, steps = None, [], []
+
+    def chi(a):
+        nonlocal head, base, steps
+        if a[:cut] != head:
+            head = a[:cut]
+            rows = _unflatten(n, list(head) + [0] * n)
+            base = char_poly_rows(rows, q)
+            steps = []
+            for j in range(n):
+                rows[-1][j] = 1
+                steps.append([(x - y) % q for x, y in zip(char_poly_rows(rows, q), base)])
+                rows[-1][j] = 0
+        out = base
+        for r, step in zip(a[cut:], steps):
+            if r:
+                out = [x + r * y for x, y in zip(out, step)]
+        return [x % q for x in out]
+
+    return chi
+
+
 def subspace_stream(n: int, q: int, d: int, cap: int = DEFAULT_CAP, heavy: bool = False):
     """Every d-dimensional subspace of Mat_n(F_q) exactly once, canonically."""
     _gate(n, q, d, cap, heavy)
@@ -257,7 +303,8 @@ def _census_chunk(args) -> tuple[dict, dict, int, int]:
     witnesses = {p: [] for p in predicates}
     processed = tested = 0
     first = predicates[0]
-    member_preds = [rec for rec in map(_BY_NAME.get, predicates) if rec.member_test]
+    chain = [_BY_NAME[p] for p in predicates]
+    member_preds = [rec for rec in chain if rec.member_test]
     if engine == "bits":
         # Only the chain's tables, and the action table only when d >= 2 spins.
         member_holds = {rec.name: rec.gf2_table(n).__getitem__ for rec in member_preds}
@@ -277,7 +324,8 @@ def _census_chunk(args) -> tuple[dict, dict, int, int]:
         def irreducible_rows(rows):
             return irreducible(MatSpace.from_canonical_rows(field, n, rows), budget).status == HOLDS
 
-    first_holds, scalars = member_holds.get(first), range(2, q)
+    # A line has no proper prefix to prune, so it keeps no member list.
+    first_holds, scalars = member_holds.get(first) if d != 1 else None, range(2, q)
 
     def grow(span, row):
         # span lists every member of the prefix's span, all of which passed.
@@ -293,21 +341,31 @@ def _census_chunk(args) -> tuple[dict, dict, int, int]:
             span += multiple
         return span
 
-    line_verdicts = {}  # tuple(chi_a) -> whether <a> is irreducible; at most q^n keys
+    if d != 1:
 
-    def line_irreducible(row):  # the line rule of the module docstring
-        chi = char_poly_rows(_unflatten(n, unpack(row)), q)
-        key = tuple(chi)
-        if key not in line_verdicts:
-            line_verdicts[key] = _simple_factor_mod(chi, q) == chi
-        return line_verdicts[key]
+        def holds(p, rows, span):
+            test = member_holds.get(p)
+            if test is None:  # irreducibility, the one predicate without a member test
+                return irreducible_rows(rows)
+            # span is None when a member failed the first predicate
+            return span is not None and (p == first or all(map(test, span)))
 
-    def holds(p, rows, span):
-        test = member_holds.get(p)
-        if test is None:  # irreducibility, the one predicate without a member test
-            return line_irreducible(rows[0]) if d == 1 else irreducible_rows(rows)
-        # span is None when a member failed the first predicate
-        return span is not None and (p == first or all(map(test, span)))
+    else:
+        # The line rules of the module docstring; the bits engine keeps its
+        # table lookups, which are cheaper than a char poly.
+        rules = {rec.name: rec.line_rule for rec in chain if rec.line_rule and not (engine == "bits" and rec.gf2_table)}
+        char_poly, by_chi, line = _line_char_poly(n, q), {}, [None, {}]  # by_chi: at most q^n keys
+
+        def holds(p, rows, span):
+            if p not in rules:
+                return member_holds[p](add(rows[0], zero))  # the generator as a member
+            if line[0] is not rows:  # the first rule on this line
+                chi = char_poly(unpack(rows[0]))
+                key = tuple(chi)
+                if key not in by_chi:
+                    by_chi[key] = {name: rule(chi, q) for name, rule in rules.items()}
+                line[:] = rows, by_chi[key]
+            return line[1][p]
 
     for pattern in patterns:
         for rows, weight, span in _walk(pattern, m, q, level, grow if first_holds else None, [zero]):

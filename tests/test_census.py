@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import random
 from operator import mul
 
 import pytest
@@ -18,7 +19,6 @@ from matspace import (
 from matspace import gf2, predicates
 from matspace.errors import BudgetExceeded, CapExceeded, InvalidInput
 from matspace.matrices import char_poly_rows
-from matspace.polys import _simple_factor_mod
 from matspace.predicates import HOLDS, non_isotropic
 from matspace.serialize import (
     canonical_json,
@@ -269,8 +269,6 @@ def test_census_q5_generic_engine():
 def test_census_counts_conjugation_spot_check():
     # conjugating the enumeration permutes subspaces, so predicate verdicts on
     # conjugated witnesses must not change
-    import random
-
     from matspace import trivial_spectrum
     from oracles import random_invertible
 
@@ -357,11 +355,14 @@ def _engines(q):
     return (["bits"] if q == 2 else []) + ["generic"]
 
 
-@pytest.mark.parametrize("n,q,count", [(2, 2, 2), (2, 3, 9), (2, 5, 50), (3, 2, 48), (3, 3, 1728)])
+@pytest.mark.parametrize(
+    "n,q,count", [(2, 2, 2), (2, 3, 9), (2, 5, 50), (3, 2, 48), (3, 3, 1728), (3, 5, 120000)]
+)
 def test_irreducible_line_counts_match_the_closed_form(n, q, count):
+    # (3, 5) has 488,281 lines, past the non-heavy limit.
     assert irreducible_lines(n, q) == count
     for engine in _engines(q):
-        assert census(n, q, 1, ["irred"], engine=engine).counts == {"irreducible": count}
+        assert census(n, q, 1, ["irred"], engine=engine, heavy=True).counts == {"irreducible": count}
 
 
 @pytest.mark.parametrize("n,q,count", [(2, 2, 7), (2, 3, 19), (2, 5, 76), (3, 2, 57), (3, 3, 1054)])
@@ -389,13 +390,59 @@ def test_trivial_spectrum_line_counts_match_the_closed_form(n, q, count):
 
 
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (2, 5), (3, 2)])
-def test_a_line_is_irreducible_exactly_when_its_char_poly_is(n, q):
-    # The census's line rule, on every line against the spinning predicate;
-    # test_census_matches_the_unpruned_enumeration compares the census with
-    # the predicate on the same lines.
+def test_every_line_rule_is_its_library_predicate(n, q):
+    # Each census line rule, on every line against the library predicate
+    # (irreducibility spins); test_census_matches_the_unpruned_enumeration
+    # compares the census with the predicates on the same lines.
+    ruled = [rec for rec in census_module.PREDICATES if rec.line_rule]
+    assert ruled
     for space in subspace_stream(n, q, 1):
         chi = char_poly_rows(_unflatten(n, space.rows[0]), q)
-        assert (_simple_factor_mod(chi, q) == chi) == (predicates.irreducible(space).status == HOLDS)
+        for rec in ruled:
+            expected = getattr(predicates, rec.name)(space).status == HOLDS
+            assert rec.line_rule(chi, q) == expected, (rec.name, space.rows)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_the_line_char_poly_is_berkowitz(q):
+    # chi_a is affine in the last row of a; the helper builds it from the
+    # char polys of the head with a zero last row and with each unit row.
+    rng = random.Random(q)
+    cases = [(1, (c,)) for c in range(q)]  # n = 1: the head is empty
+    cases += [(2, a) for a in itertools.product(range(q), repeat=4)]
+    for n in (3, 4):
+        cases += [(n, tuple(rng.randrange(q) for _ in range(n * n))) for _ in range(150)]
+        zero_head = [0] * (n * n - n)
+        cases += [(n, (*zero_head, *(rng.randrange(q) for _ in range(n)))) for _ in range(20)]
+    helpers = {n: census_module._line_char_poly(n, q) for n in (1, 2, 3, 4)}
+    for n, a in cases:
+        assert helpers[n](a) == char_poly_rows(_unflatten(n, list(a)), q), (n, a)
+
+
+def test_line_censuses_run_berkowitz_per_head_and_each_rule_once_per_char_poly(monkeypatch):
+    # Generic (3, 3, 1) `trivspec,irred`: 365 heads of 3 x 3 matrices with
+    # n + 1 = 4 Berkowitz runs each, against one or two runs per line for
+    # 9,841 lines without the affine rule; 27 monic cubics over GF(3).
+    calls = {"berkowitz": 0, "roots": [], "factor": []}
+
+    def berkowitz(*args, _call=char_poly_rows):
+        calls["berkowitz"] += 1
+        return _call(*args)
+
+    monkeypatch.setattr(census_module, "char_poly_rows", berkowitz)
+    monkeypatch.setattr(predicates, "char_poly_rows", berkowitz)
+    for name, key in (("_roots", "roots"), ("_simple_factor_mod", "factor")):
+
+        def counting(chi, q, _call=getattr(census_module, name), _key=key):
+            calls[_key].append(tuple(chi))
+            return _call(chi, q)
+
+        monkeypatch.setattr(census_module, name, counting)
+    rep = census(3, 3, 1, ["trivspec", "irred"], engine="generic")
+    assert rep.counts == {"trivial_spectrum": 3145, "irreducible": 1728}
+    assert calls["berkowitz"] <= 1460
+    for key in ("roots", "factor"):
+        assert len(calls[key]) == len(set(calls[key])) <= 27, key
 
 
 def test_line_censuses_decide_irreducibility_without_spinning(monkeypatch):
@@ -423,6 +470,10 @@ def test_every_predicate_record_has_its_names_and_a_library_predicate():
             assert census_module.normalize_predicates([alias.upper()]) == [rec.name]
         assert callable(getattr(predicates, rec.name))
         assert (rec.member_test is None) == (rec.gf2_table is None)
+        # A line is decided by a line rule or by its generator's member test;
+        # only `irreducible`, which is not hereditary, has a rule without a test.
+        assert rec.line_rule is not None or rec.member_test is not None
+        assert rec.line_rule is None or rec.member_test is not None or rec.name == "irreducible"
     # A prefix keeps a member list only when the chain starts with a member
     # predicate, so every predicate without a member test comes last.
     has_test = [rec.member_test is not None for rec in census_module.PREDICATES]
